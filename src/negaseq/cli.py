@@ -244,8 +244,12 @@ def verify(n, k, seed_file, prop, fmt):
              "nos": verify_mod.is_nos,
              "os": verify_mod.is_os}[prop]
     stream = seed_file if seed_file is not None else sys.stdin
+    try:
+        sequences = list(verify_mod.read_sequences(stream, k))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     any_invalid = False
-    for seq in verify_mod.read_sequences(stream, k):
+    for seq in sequences:
         verdict = check(seq, n)
         payload = {
             "sequence": str(seq), "n": n, "k": k, "property": prop,
@@ -271,10 +275,11 @@ def verify(n, k, seed_file, prop, fmt):
 @main.command()
 @N_OPTION
 @K_OPTION
-@click.option("--budget", type=int, default=search_mod.DEFAULT_NODE_BUDGET,
+@click.option("--budget", type=click.IntRange(min=1),
+              default=search_mod.DEFAULT_NODE_BUDGET,
               show_default=True, help="Maximum search-tree expansions.")
-@click.option("--time-budget", type=float, default=None,
-              help="Wall-clock cap in seconds.")
+@click.option("--time-budget", type=click.FloatRange(min=0, min_open=True),
+              default=None, help="Wall-clock cap in seconds.")
 @click.option("--symmetry/--no-symmetry", default=True, show_default=True,
               help="Restrict first edges to symmetry-orbit representatives.")
 @click.option("--prune/--no-prune", default=True, show_default=True,

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .errors import GraphSizeError, NotAnNosError
 from .tuples import (
@@ -24,8 +22,12 @@ from .tuples import (
     decode,
     is_negasymmetric_code,
     nega_reverse_code,
+    window_codes,
 )
 from .verify import PeriodicSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXPLICIT_EDGE_BUDGET = 2**24
 DEFAULT_DOT_EDGE_BUDGET = 10**5
@@ -65,6 +67,8 @@ class ReducedGraph:
             self._bitmap = self._build_bitmap()
 
     def _build_bitmap(self) -> np.ndarray:
+        import numpy as np
+
         codes = np.arange(self.num_codes, dtype=np.int64)
         partner = np.zeros_like(codes)
         rest = codes.copy()
@@ -95,6 +99,8 @@ class ReducedGraph:
 
     def edge_count(self) -> int:
         """Count edges from the explicit bitmap (independent of the formula)."""
+        import numpy as np
+
         return int(np.count_nonzero(self.edge_bitmap()))
 
     def edges(self) -> Iterator[int]:
@@ -211,27 +217,29 @@ class SequenceSubgraph:
 def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     """Build B^-(S, n) from one period of S.
 
-    Raises NotAnNosError on the first duplicate edge, naming the colliding
-    windows: a duplicate certifies that S is not an NOS of order n.
+    O(m) expected: the edge codes of both S and -S^R come from rolling
+    window codes.  Raises NotAnNosError on the first duplicate edge, S
+    before -S^R, naming the colliding windows: a duplicate certifies that S
+    is not an NOS of order n.
     """
     norm = seq.normalized()
-    sub = SequenceSubgraph(n=n, k=norm.k)
-    num_vertices = norm.k ** (n - 1)
+    k = norm.k
+    origin: dict[int, tuple[str, int]] = {}
     for stream_name, stream in (("S", norm), ("-S^R", norm.nega_reverse())):
-        m = len(stream)
-        for i in range(m):
-            code = stream.window(i, n).code()
-            if code in sub.edge_origin:
+        for i, code in enumerate(window_codes(stream.symbols, n, k)):
+            if code in origin:
                 raise NotAnNosError(
                     f"window {stream_name}[{i}] duplicates "
-                    f"{sub.edge_origin[code][0]}[{sub.edge_origin[code][1]}]: "
+                    f"{origin[code][0]}[{origin[code][1]}]: "
                     f"not an order-{n} NOS",
-                    first=sub.edge_origin[code], second=(stream_name, i))
-            sub.edge_origin[code] = (stream_name, i)
-            sub.edge_codes.add(code)
-            sub.out_degree[code // norm.k] += 1
-            sub.in_degree[code % num_vertices] += 1
-    return sub
+                    first=origin[code], second=(stream_name, i))
+            origin[code] = (stream_name, i)
+    num_vertices = k ** (n - 1)
+    return SequenceSubgraph(
+        n=n, k=k, edge_codes=set(origin),
+        in_degree=Counter(c % num_vertices for c in origin),
+        out_degree=Counter(c // k for c in origin),
+        edge_origin=origin)
 
 
 # -- DOT export -----------------------------------------------------------

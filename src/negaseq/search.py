@@ -27,14 +27,15 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
 from .verify import PeriodicSequence, is_nos
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_MAX_CODES = 2**24
@@ -98,6 +99,8 @@ def canonicalize(seq: PeriodicSequence, n: int) -> PeriodicSequence:
 
 def _edge_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(partner, digit stacks) for all k^n codes; partner[e] = code of -e^R."""
+    import numpy as np
+
     codes = np.arange(k**n, dtype=np.int64)
     partner = np.zeros_like(codes)
     rest = codes.copy()
@@ -112,6 +115,8 @@ def _edge_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _orbit_minimal_mask(partner: np.ndarray, digits: np.ndarray,
                         n: int, k: int) -> np.ndarray:
     """mask[e] true iff e == min over {u(e), u(partner(e)) : u unit of Z_k}."""
+    import numpy as np
+
     codes = np.arange(k**n, dtype=np.int64)
     orbit_min = codes.copy()
     weights = np.array([k**i for i in range(n)], dtype=np.int64)  # lsd first
@@ -129,6 +134,8 @@ def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
 
 def max_nos_search(cfg: SearchConfig) -> SearchResult:
     """Depth-first search over pair-disjoint closed walks in B_k^-(n-1)."""
+    import numpy as np
+
     n, k = cfg.n, cfg.k
     num_codes = k**n
     if num_codes > cfg.max_codes:
@@ -283,6 +290,8 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
 def graph_content_hash(n: int, k: int) -> str:
     """SHA-256 of the packed edge bitmap; pins the searched graph in certificates."""
+    import numpy as np
+
     bitmap = ReducedGraph(n, k).edge_bitmap()
     return hashlib.sha256(np.packbits(bitmap).tobytes()).hexdigest()
 

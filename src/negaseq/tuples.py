@@ -130,6 +130,25 @@ def decode(code: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def window_codes(symbols: tuple[int, ...], n: int, k: int) -> list[int]:
+    """Codes of the m cyclic n-windows of one period, in window order.
+
+    Each code follows from the previous one by dropping the leading symbol
+    and appending the next: O(m) work instead of O(m*n).  n may exceed m;
+    the period then wraps more than once inside a window.
+    """
+    m = len(symbols)
+    ext = symbols * -(-(m + n - 1) // m)  # long enough for the last window
+    code = encode(ext[:n], k)
+    high = k ** (n - 1)
+    codes = [code]
+    append = codes.append
+    for s in ext[n:m + n - 1]:
+        code = code % high * k + s
+        append(code)
+    return codes
+
+
 def nega_reverse_code(code: int, n: int, k: int) -> int:
     """Code of -u^R given the code of u."""
     out = 0

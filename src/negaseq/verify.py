@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .tuples import Word, encode, nega_reverse_code
+from .tuples import Word, window_codes
 
 DUPLICATE_WINDOW = "duplicate-window"
 NEGA_REVERSE_COLLISION = "nega-reverse-collision"
@@ -78,22 +78,21 @@ class Verdict:
 
 
 def minimal_period(seq: PeriodicSequence) -> int:
-    """Smallest p dividing the stored length with symbols[i] == symbols[i mod p]."""
+    """Smallest p dividing the stored length with symbols[i] == symbols[i mod p].
+
+    That holds iff the word equals itself shifted by p, one slice compare.
+    """
     s = seq.symbols
     m = len(s)
-    for p in range(1, m + 1):
-        if m % p == 0 and all(s[i] == s[i % p] for i in range(m)):
+    for p in range(1, m):
+        if m % p == 0 and s[p:] == s[:m - p]:
             return p
-    raise AssertionError("unreachable: m always works")
-
-
-def _window_codes(seq: PeriodicSequence, n: int) -> list[int]:
-    m = len(seq.symbols)
-    return [encode(tuple(seq.symbols[(i + j) % m] for j in range(n)), seq.k)
-            for i in range(m)]
+    return m
 
 
 def _duplicate_witness(codes: list[int]) -> Optional[Witness]:
+    if len(set(codes)) == len(codes):
+        return None
     seen: dict[int, int] = {}
     best: Optional[tuple[int, int]] = None
     for j, c in enumerate(codes):
@@ -108,13 +107,34 @@ def _duplicate_witness(codes: list[int]) -> Optional[Witness]:
     return Witness(best[0], best[1], DUPLICATE_WINDOW)
 
 
+def _smallest_image_hit(codes: list[int], image_codes: list[int],
+                        n: int) -> Optional[tuple[int, int]]:
+    """Smallest (i, j) with window i equal to the image of window j.
+
+    image_codes are the window codes of the reversed period, negated for
+    NOS: window t of -S^R (or S^R) is the nega-reverse (or reverse) of
+    window (m - n - t) mod m of S.
+    """
+    hits = set(codes).intersection(image_codes)
+    if not hits:
+        return None
+    m = len(codes)
+    index_of = {c: i for i, c in enumerate(codes)}
+    return min((index_of[c], (m - n - t) % m)
+               for t, c in enumerate(image_codes) if c in hits)
+
+
 def is_window_sequence(seq: PeriodicSequence, n: int) -> Verdict:
-    """Valid iff all m cyclic n-windows of the minimal period are distinct."""
+    """Valid iff all m cyclic n-windows of the minimal period are distinct.
+
+    O(m) expected: the window codes come from one rolling pass over the
+    period, and one hash set finds a repeat.
+    """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
     norm = seq.normalized()
     m = len(norm)
-    witness = _duplicate_witness(_window_codes(norm, n))
+    witness = _duplicate_witness(window_codes(norm.symbols, n, norm.k))
     return Verdict(valid=witness is None, property="window", period=m,
                    witness=witness, order_exceeds_period=n > m)
 
@@ -124,23 +144,21 @@ def is_nos(seq: PeriodicSequence, n: int) -> Verdict:
     reverse of any window (including itself, which rules out negasymmetric
     windows).
 
-    Indexed implementation: one hash of window codes, O(m) expected.  The
-    naive quadratic loop is kept as `is_nos_naive` for oracle testing.
+    Indexed implementation, O(m) expected: rolling window codes of S and
+    of -S^R, whose windows are the nega-reverses of the windows of S, and
+    one hash intersection between them.  The naive quadratic loop is kept
+    as `is_nos_naive` for oracle testing.
     """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
     norm = seq.normalized()
     m = len(norm)
-    codes = _window_codes(norm, n)
+    codes = window_codes(norm.symbols, n, norm.k)
     dup = _duplicate_witness(codes)
     if dup is not None:
         return Verdict(False, "nos", m, dup, order_exceeds_period=n > m)
-    index_of = {c: i for i, c in enumerate(codes)}
-    best: Optional[tuple[int, int]] = None
-    for j, c in enumerate(codes):
-        i = index_of.get(nega_reverse_code(c, n, norm.k))
-        if i is not None and (best is None or (i, j) < best):
-            best = (i, j)
+    nega_reverse_codes = window_codes(norm.nega_reverse().symbols, n, norm.k)
+    best = _smallest_image_hit(codes, nega_reverse_codes, n)
     if best is None:
         return Verdict(True, "nos", m, order_exceeds_period=n > m)
     kind = NEGASYMMETRIC_WINDOW if best[0] == best[1] else NEGA_REVERSE_COLLISION
@@ -176,22 +194,20 @@ def is_nos_naive(seq: PeriodicSequence, n: int) -> Verdict:
 
 def is_os(seq: PeriodicSequence, n: int) -> Verdict:
     """Orientable-sequence check (plumbing): windows distinct, no window is
-    the reverse of another, and no window is a palindrome."""
+    the reverse of another, and no window is a palindrome.
+
+    O(m) expected, like `is_nos`, with S^R in place of -S^R.
+    """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
     norm = seq.normalized()
     m = len(norm)
-    codes = _window_codes(norm, n)
+    codes = window_codes(norm.symbols, n, norm.k)
     dup = _duplicate_witness(codes)
     if dup is not None:
         return Verdict(False, "os", m, dup, order_exceeds_period=n > m)
-    index_of = {c: i for i, c in enumerate(codes)}
-    best: Optional[tuple[int, int]] = None
-    for j, c in enumerate(codes):
-        rev = encode(norm.window(j, n).reverse().symbols, norm.k)
-        i = index_of.get(rev)
-        if i is not None and (best is None or (i, j) < best):
-            best = (i, j)
+    reverse_codes = window_codes(norm.symbols[::-1], n, norm.k)
+    best = _smallest_image_hit(codes, reverse_codes, n)
     if best is None:
         return Verdict(True, "os", m, order_exceeds_period=n > m)
     return Verdict(False, "os", m, Witness(best[0], best[1], REVERSE_COLLISION),
@@ -209,8 +225,13 @@ def parse_sequence_line(line: str, k: int) -> PeriodicSequence:
 
 
 def read_sequences(lines: Iterable[str], k: int) -> Iterator[PeriodicSequence]:
-    for raw in lines:
+    """Parse sequence lines; a bad line raises ValueError naming its number."""
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield parse_sequence_line(line, k)
+        try:
+            seq = parse_sequence_line(line, k)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        yield seq

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -33,6 +36,34 @@ class TestUsageErrors:
     def test_missing_required_option(self, runner):
         result = runner.invoke(main, ["bound", "--n", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,1,1\n0,1,2,\n", "line 2"),  # trailing comma
+        ("# header\n\n0,1,5\n", "line 3"),  # symbol out of range for k=3
+    ])
+    def test_verify_bad_line_is_usage_error(self, runner, text, line):
+        result = runner.invoke(main, ["verify", "--n", "2", "--k", "3"], input=text)
+        assert result.exit_code == 2
+        assert line in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--budget", "0"), ("--time-budget", "0"), ("--time-budget", "-1"),
+    ])
+    def test_search_budget_must_be_positive(self, runner, option, value):
+        result = runner.invoke(main, ["search", "--n", "3", "--k", "3", option, value])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, negaseq.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestClassify:

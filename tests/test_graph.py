@@ -136,9 +136,32 @@ class TestSequenceSubgraph:
         assert err.value.first is not None
         assert err.value.second is not None
 
+    def test_first_duplicate_scans_s_before_nega_reverse(self):
+        for symbols, first, second in [((0, 0, 1), ("S", 0), ("-S^R", 1)),
+                                       ((0, 1, 2, 0, 1, 1), ("S", 0), ("S", 3))]:
+            with pytest.raises(NotAnNosError) as err:
+                sequence_subgraph(PeriodicSequence(symbols, 3), 2)
+            assert (err.value.first, err.value.second) == (first, second)
+            assert str(err.value) == (f"window {second[0]}[{second[1]}] duplicates "
+                                      f"{first[0]}[{first[1]}]: not an order-2 NOS")
+
     def test_normalizes_first(self):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1, 0, 1, 1), 3), 2)
         assert sub.edge_count() == 6
+
+    def test_edges_are_extracted_windows(self):
+        # maximum NOS at (3, 3) and (2, 5), and a stored length twice the period
+        for symbols, k, n in [((0, 0, 1, 0, 1, 1, 1, 2, 1, 1), 3, 3),
+                              ((0, 1, 0, 2, 1, 1, 2, 2, 4, 2), 5, 2),
+                              ((0, 1, 1) * 2, 3, 2)]:
+            sub = sequence_subgraph(PeriodicSequence(symbols, k), n)
+            s = PeriodicSequence(symbols, k).normalized()
+            expected = {stream.window(i, n).code()
+                        for stream in (s, s.nega_reverse()) for i in range(len(s))}
+            assert sub.edge_codes == expected
+            assert sub.edge_origin[s.window(1, n).code()] == ("S", 1)
+            assert sub.edge_origin[s.nega_reverse().window(2, n).code()] == ("-S^R", 2)
+            assert sum(sub.in_degree.values()) == sum(sub.out_degree.values()) == 2 * len(s)
 
 
 class TestDotExport:

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from negaseq.tuples import encode, window_codes
 from negaseq.verify import (
     DUPLICATE_WINDOW,
     NEGA_REVERSE_COLLISION,
     NEGASYMMETRIC_WINDOW,
+    REVERSE_COLLISION,
     PeriodicSequence,
+    Verdict,
+    Witness,
     is_nos,
     is_nos_naive,
     is_os,
@@ -19,6 +23,40 @@ from negaseq.verify import (
 
 def seq(symbols, k):
     return PeriodicSequence(tuple(symbols), k)
+
+
+def random_words(rng, count, max_m=40, max_n=5):
+    """Seeded (sequence, n) pairs, among them stored lengths 2-3x the
+    minimal period and window orders above the period."""
+    for i in range(count):
+        k = rng.choice([3, 4, 5, 6])
+        symbols = [rng.randrange(k) for _ in range(rng.randint(1, max_m))]
+        n = rng.randint(2, max_n)
+        if i % 4 == 1:
+            symbols *= rng.randint(2, 3)
+        elif i % 4 == 2:
+            n = max(2, len(symbols) + rng.randint(0, 4))
+        yield seq(symbols, k), n
+
+
+def window_oracle(s, n, prop):
+    """O(m^2) verdict by direct window extraction, for the window and OS
+    properties: smallest duplicate pair first, then for OS the smallest
+    (i, j) with window i equal to the reverse of window j."""
+    norm = s.normalized()
+    m = len(norm)
+    windows = [norm.window(i, n).symbols for i in range(m)]
+    flag = n > m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if windows[i] == windows[j]:
+                return Verdict(False, prop, m, Witness(i, j, DUPLICATE_WINDOW), flag)
+    if prop == "os":
+        for i in range(m):
+            for j in range(m):
+                if windows[i] == windows[j][::-1]:
+                    return Verdict(False, prop, m, Witness(i, j, REVERSE_COLLISION), flag)
+    return Verdict(True, prop, m, order_exceeds_period=flag)
 
 
 class TestPeriodicSequence:
@@ -136,6 +174,23 @@ class TestNaiveOracle:
             b = is_nos_naive(s, n)
             assert a == b, (s, n)
 
+    def test_agreement_on_repeated_periods_and_long_orders(self):
+        rng = random.Random(20261017)
+        for s, n in random_words(rng, 400):
+            assert is_nos(s, n) == is_nos_naive(s, n), (s, n)
+
+    def test_window_and_os_agree_with_extraction(self):
+        rng = random.Random(9)
+        for s, n in random_words(rng, 400):
+            assert is_window_sequence(s, n) == window_oracle(s, n, "window"), (s, n)
+            assert is_os(s, n) == window_oracle(s, n, "os"), (s, n)
+
+    def test_window_codes_match_extracted_windows(self):
+        rng = random.Random(5)
+        for s, n in random_words(rng, 200, max_n=9):
+            assert window_codes(s.symbols, n, s.k) == \
+                [encode(s.window(i, n).symbols, s.k) for i in range(len(s))], (s, n)
+
     def test_agreement_on_structured_words(self):
         for symbols, k, n in [((0, 1, 0, 1), 3, 2), ((0, 0, 0), 3, 2),
                               ((0, 1, 2, 1), 3, 3), ((1, 3, 1, 3), 4, 2)]:
@@ -172,3 +227,7 @@ class TestTextFormat:
     def test_bad_symbol_raises(self):
         with pytest.raises(ValueError):
             parse_sequence_line("0,9", 3)
+
+    def test_bad_line_names_its_number(self):
+        with pytest.raises(ValueError, match="line 3"):
+            list(read_sequences(["# header", "0,1,1", "0,1,2,"], 3))
