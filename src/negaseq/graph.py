@@ -22,6 +22,7 @@ from .tuples import (
     decode,
     is_negasymmetric_code,
     nega_reverse_code,
+    partner_codes,
     window_codes,
 )
 from .verify import PeriodicSequence
@@ -70,12 +71,7 @@ class ReducedGraph:
         import numpy as np
 
         codes = np.arange(self.num_codes, dtype=np.int64)
-        partner = np.zeros_like(codes)
-        rest = codes.copy()
-        for _ in range(self.n):
-            rest, digit = np.divmod(rest, self.k)
-            partner = partner * self.k + (-digit) % self.k
-        return codes != partner
+        return codes != partner_codes(self.n, self.k)
 
     @property
     def explicit(self) -> bool:

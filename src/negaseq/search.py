@@ -15,8 +15,12 @@ maximum-length walk:
   send valid walks to valid walks of the same length, so the first edge
   can be restricted to codes minimal within their orbit under that group.
 
-Optionally, branches are cut when the walk length plus the number of
-still-unused edge pairs cannot beat the incumbent, and the whole search
+Optionally, branches are cut when the walk length plus an upper bound on
+the edges a completion can still add cannot beat the incumbent.  That
+bound is the smaller of the still-unused edge pairs and a degree bound,
+the sum over vertices of min(available in, available out) with +-1
+endpoint corrections.  The degree sum is kept incrementally as edges are
+marked and unmarked, so the bound costs O(1) per node.  The whole search
 stops once the incumbent meets the proven period upper bound (no longer
 walk can exist).
 """
@@ -32,6 +36,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
+from .tuples import partner_codes
 from .verify import PeriodicSequence, is_nos
 
 if TYPE_CHECKING:
@@ -97,33 +102,26 @@ def canonicalize(seq: PeriodicSequence, n: int) -> PeriodicSequence:
     return PeriodicSequence(best, k)
 
 
-def _edge_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(partner, digit stacks) for all k^n codes; partner[e] = code of -e^R."""
+def _orbit_minimal_mask(partner: np.ndarray, n: int, k: int) -> np.ndarray:
+    """mask[e] true iff e == min over {u(e), u(partner(e)) : u unit of Z_k}.
+
+    One pass over the digit positions builds the image of every code under
+    each unit by Horner's rule, image_u(p*k + d) = image_u(p)*k + (u*d % k);
+    no digit stack is kept and no division is done.
+    """
     import numpy as np
 
-    codes = np.arange(k**n, dtype=np.int64)
-    partner = np.zeros_like(codes)
-    rest = codes.copy()
-    digits = []
+    digits = np.arange(k, dtype=np.int64)
+    us = units(k)
+    images = [np.zeros(1, dtype=np.int64) for _ in us]
     for _ in range(n):
-        rest, digit = np.divmod(rest, k)
-        digits.append(digit)  # least significant first
-        partner = partner * k + (-digit) % k
-    return partner, np.stack(digits)
-
-
-def _orbit_minimal_mask(partner: np.ndarray, digits: np.ndarray,
-                        n: int, k: int) -> np.ndarray:
-    """mask[e] true iff e == min over {u(e), u(partner(e)) : u unit of Z_k}."""
-    import numpy as np
-
+        images = [np.add.outer(image * k, digits * u % k).ravel()
+                  for u, image in zip(us, images)]
     codes = np.arange(k**n, dtype=np.int64)
     orbit_min = codes.copy()
-    weights = np.array([k**i for i in range(n)], dtype=np.int64)  # lsd first
-    for u in units(k):
-        image = ((digits * u) % k * weights[:, None]).sum(axis=0)
-        orbit_min = np.minimum(orbit_min, image)
-        orbit_min = np.minimum(orbit_min, image[partner])
+    for image in images:
+        np.minimum(orbit_min, image, out=orbit_min)
+        np.minimum(orbit_min, image[partner], out=orbit_min)
     return codes == orbit_min
 
 
@@ -145,17 +143,18 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     started = time.monotonic()
     bound = nos_bound(n, k).value
 
-    partner_arr, digits = _edge_tables(n, k)
-    is_edge = (np.arange(num_codes, dtype=np.int64) != partner_arr)
+    partner_arr = partner_codes(n, k)
+    is_edge = np.arange(num_codes, dtype=np.int64) != partner_arr
     if cfg.symmetry_reduction:
-        candidate_mask = is_edge & _orbit_minimal_mask(partner_arr, digits, n, k)
+        candidate_mask = is_edge & _orbit_minimal_mask(partner_arr, n, k)
     else:
         candidate_mask = is_edge
     candidates = np.flatnonzero(candidate_mask).tolist()
 
     partner = partner_arr.tolist()
     edge_ok = is_edge.tolist()
-    total_pairs = int(np.count_nonzero(is_edge)) // 2
+    edge_codes = np.flatnonzero(is_edge)
+    total_pairs = len(edge_codes) // 2
 
     used = bytearray(num_codes)
     num_vertices = k ** (n - 1)
@@ -163,31 +162,44 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     # Per-vertex counts of available (unused, unblocked) edges.  They back
     # an admissible upper bound on how many edges a completion of the
     # current walk can still add: a trail from v back to start departs each
-    # vertex at most min(in, out) times, with +-1 endpoint slack.
-    avail_in = [0] * num_vertices
-    avail_out = [0] * num_vertices
-    for e in range(num_codes):
-        if edge_ok[e]:
-            avail_out[e // k] += 1
-            avail_in[e % num_vertices] += 1
+    # vertex at most min(in, out) times, with +-1 endpoint slack.  flow is
+    # the running sum of min(avail_in[w], avail_out[w]) over all vertices w,
+    # kept exact by mark/unmark so the bound costs O(1) per node.
+    in_counts = np.bincount(edge_codes % num_vertices, minlength=num_vertices)
+    out_counts = np.bincount(edge_codes // k, minlength=num_vertices)
+    flow = int(np.minimum(in_counts, out_counts).sum())
+    avail_in = in_counts.tolist()
+    avail_out = out_counts.tolist()
 
+    # Lowering a count lowers its vertex's min iff it was not above the other
+    # count; raising it raises the min iff it was below.  A self-loop needs
+    # no special case: its two updates run one after the other.
     def mark(e: int) -> None:
+        nonlocal flow
         for c in (e, partner[e]):
             used[c] = 1
-            avail_out[c // k] -= 1
-            avail_in[c % num_vertices] -= 1
+            t, h = c // k, c % num_vertices
+            if avail_out[t] <= avail_in[t]:
+                flow -= 1
+            avail_out[t] -= 1
+            if avail_in[h] <= avail_out[h]:
+                flow -= 1
+            avail_in[h] -= 1
 
     def unmark(e: int) -> None:
+        nonlocal flow
         for c in (e, partner[e]):
             used[c] = 0
-            avail_out[c // k] += 1
-            avail_in[c % num_vertices] += 1
+            t, h = c // k, c % num_vertices
+            if avail_out[t] < avail_in[t]:
+                flow += 1
+            avail_out[t] += 1
+            if avail_in[h] < avail_out[h]:
+                flow += 1
+            avail_in[h] += 1
 
     def completion_bound(v: int, start: int) -> int:
-        total = 0
-        for w in range(num_vertices):
-            a, b = avail_in[w], avail_out[w]
-            total += a if a < b else b
+        total = flow
         if v == start:
             return total
         a, b = avail_in[v], avail_out[v]

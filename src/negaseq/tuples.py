@@ -13,9 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import AlphabetMismatchError, EnumerationBudgetError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -160,6 +163,22 @@ def nega_reverse_code(code: int, n: int, k: int) -> int:
 
 def is_negasymmetric_code(code: int, n: int, k: int) -> bool:
     return code == nega_reverse_code(code, n, k)
+
+
+def partner_codes(n: int, k: int) -> np.ndarray:
+    """partner[e] = code of -e^R for all k^n codes e (int64 numpy array).
+
+    The vectorised form of `nega_reverse_code`; e is an edge of the reduced
+    graph iff partner[e] != e.  Built from the table for length j - 1 by
+    -(p*k + d)^R = (-d)*k^(j-1) + -p^R, with no division.
+    """
+    import numpy as np
+
+    negated = -np.arange(k, dtype=np.int64) % k
+    partner = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        partner = np.add.outer(partner, negated * k**j).ravel()
+    return partner
 
 
 # -- tuple classes and counting ------------------------------------------

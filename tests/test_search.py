@@ -3,12 +3,14 @@ import pytest
 from negaseq.errors import GraphSizeError
 from negaseq.search import (
     SearchConfig,
+    _orbit_minimal_mask,
     canonicalize,
     certify,
     graph_content_hash,
     max_nos_search,
     units,
 )
+from negaseq.tuples import decode, encode, nega_reverse_code, partner_codes
 from negaseq.verify import PeriodicSequence, is_nos
 
 
@@ -62,6 +64,20 @@ class TestCanonicalize:
         assert all(rep.symbols <= doubled[r:r + m] for r in range(m))
 
 
+class TestOrbitMinimalMask:
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (3, 6), (4, 3)])
+    def test_matches_scalar_orbit_minimum(self, n, k):
+        def scale(u, code):
+            return encode(tuple(u * d % k for d in decode(code, n, k)), k)
+
+        mask = _orbit_minimal_mask(partner_codes(n, k), n, k).tolist()
+        expected = [
+            e == min(min(scale(u, e), scale(u, nega_reverse_code(e, n, k)))
+                     for u in units(k))
+            for e in range(k**n)]
+        assert mask == expected
+
+
 class TestExhaustiveSearch:
     def test_order_two_row(self):
         expected = {3: 3, 4: 5, 5: 10, 6: 14, 7: 21, 8: 27}
@@ -98,6 +114,46 @@ class TestExhaustiveSearch:
         b = max_nos_search(SearchConfig(n=3, k=3))
         assert a.best_sequence == b.best_sequence
         assert a.expansions == b.expansions
+
+
+class TestPinnedOutcomes:
+    """Periods, expansion counts and sequences from the O(V)-bound search.
+
+    The pruning bound decides which subtrees are cut, so any drift in its
+    bookkeeping changes these numbers.
+    """
+
+    @pytest.mark.parametrize("n,k,period,expansions",
+                             [(3, 3, 10, 493), (2, 11, 55, 63)])
+    def test_exhaustive_cells(self, n, k, period, expansions):
+        result = max_nos_search(SearchConfig(n=n, k=k))
+        assert result.optimal
+        assert (result.period, result.expansions) == (period, expansions)
+
+    @pytest.mark.parametrize("n,k,budget,sequence", [
+        (3, 4, 20_000, "0,0,1,0,1,1,0,2,1,1,1,2,0,1,3,1,1,3,2,2,3,2,3,1"),
+        (4, 3, 20_000, "0,0,0,1,0,0,1,1,0,1,0,1,1,1,0,2,1,1,1,1,2,0,1,1,2,1,"
+                       "0,1,2,1,1"),
+        (8, 5, 100, "0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,2,0,0,0,0,0,0,1,1,0,0,"
+                    "0,0,0,0,1,2,0,0,0,0,0,0,2,1,0,0,0,0,0,0,2,2"),
+        (5, 3, 5_000, "0,0,0,0,1,0,0,0,1,1,0,0,1,0,1,0,0,1,1,1,0,0,2,0,1,1,"
+                      "0,1,0,1,1,0,2,0,0,1,1,2,0,0,2,1,0,1,0,2,1,1,0,1,1,1,"
+                      "1,0,1,2,0,1,0,1,2,1,0,1,1,2,1,0,2,2,1,1,1,1,1,2,0,2,"
+                      "1,1,2,1,1,1,2,1,2,1,1,2,2,2,0,1,2,1,1"),
+    ])
+    def test_budgeted_cells(self, n, k, budget, sequence):
+        result = max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
+        assert not result.optimal
+        assert result.period == sequence.count(",") + 1
+        assert str(result.best_sequence) == sequence
+
+    def test_toggles_reach_optimum_order_three(self):
+        for sym in (True, False):
+            for prune in (True, False):
+                cfg = SearchConfig(n=3, k=3, symmetry_reduction=sym,
+                                   prune_bound=prune)
+                result = max_nos_search(cfg)
+                assert (result.period, result.optimal) == (10, True), (sym, prune)
 
 
 class TestBudgets:
@@ -138,3 +194,11 @@ class TestCertificates:
     def test_graph_hash_stable(self):
         assert graph_content_hash(2, 3) == graph_content_hash(2, 3)
         assert graph_content_hash(2, 3) != graph_content_hash(3, 3)
+
+    @pytest.mark.parametrize("n,k,digest", [
+        (2, 3, "3199f2c565ed95595bf5cb187dea172fceda432bcac7dc372f51e615a673efe5"),
+        (3, 3, "20368f81d1a6ee4d84708b6b12ae0cdd09bf0f21d3f0af5e937117db72a6ec93"),
+        (8, 5, "ff9c5c66f16c67c01529fc38d71dd4ae8e10a2292a6fbbe9e7ef1b19b0251c87"),
+    ])
+    def test_graph_hash_pinned(self, n, k, digest):
+        assert graph_content_hash(n, k) == digest

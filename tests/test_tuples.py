@@ -11,6 +11,7 @@ from negaseq.tuples import (
     encode,
     enumerate_class,
     nega_reverse_code,
+    partner_codes,
 )
 
 
@@ -74,6 +75,11 @@ class TestInvolutions:
         assert decode(code, len(symbols), k) == tuple(symbols)
         assert nega_reverse_code(code, len(symbols), k) == \
             encode(w(symbols, k).nega_reverse().symbols, k)
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (4, 5), (3, 10), (2, 12)])
+    def test_partner_codes_match_scalar_map(self, n, k):
+        assert partner_codes(n, k).tolist() == \
+            [nega_reverse_code(code, n, k) for code in range(k**n)]
 
 
 class TestPredicates:
