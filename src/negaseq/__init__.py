@@ -16,7 +16,6 @@ from .graph import (
     BoundBreakdown,
     ReducedGraph,
     SequenceSubgraph,
-    build_reduced_graph,
     edge_count_formula,
     excluded_edge_budget,
     export_dot,
@@ -32,7 +31,7 @@ __all__ = [
     "TupleClass", "Word", "count_class", "enumerate_class",
     "PeriodicSequence", "Verdict", "is_nos", "is_os", "is_window_sequence",
     "minimal_period",
-    "BoundBreakdown", "ReducedGraph", "SequenceSubgraph", "build_reduced_graph",
+    "BoundBreakdown", "ReducedGraph", "SequenceSubgraph",
     "edge_count_formula", "excluded_edge_budget", "export_dot",
     "sequence_subgraph", "vertex_profile",
     "BoundValue", "bound_table", "load_reference_table", "nos_bound",

@@ -78,22 +78,43 @@ class ReferenceEntry:
     maximal: Optional[bool]
 
 
+def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Optional[int]:
+    value = row.get(column)
+    if value is None:
+        raise ValueError(f"line {line}: no value in column {column!r}")
+    if optional and not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"line {line}: column {column!r} is not an integer: "
+                         f"{value!r}") from None
+
+
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
-    """Parse the reference CSV (the packaged one unless a path is given)."""
+    """Parse the reference CSV (the packaged one unless a path is given).
+
+    A missing column or a non-integer field raises ValueError naming the
+    file line and the column.
+    """
     if path is None:
         text = (resources.files("negaseq") / "data" / "reference_bounds.csv").read_text()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
+                if ln and not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in numbered)
     entries: dict[tuple[int, int], ReferenceEntry] = {}
-    for row in csv.DictReader(lines):
-        n, k = int(row["n"]), int(row["k"])
-        best = int(row["best_known"]) if row["best_known"] else None
-        maximal = bool(int(row["maximal"])) if row["maximal"] else None
+    for row in reader:
+        line = numbered[reader.line_num - 1][0]
+        n, k, new, old = (_int_cell(row, column, line)
+                          for column in ("n", "k", "new_bound", "old_bound"))
+        best, maximal = (_int_cell(row, column, line, optional=True)
+                         for column in ("best_known", "maximal"))
         entries[(n, k)] = ReferenceEntry(
-            n=n, k=k, new_bound=int(row["new_bound"]),
-            old_bound=int(row["old_bound"]), best_known=best, maximal=maximal)
+            n=n, k=k, new_bound=new, old_bound=old, best_known=best,
+            maximal=None if maximal is None else bool(maximal))
     return entries
 
 

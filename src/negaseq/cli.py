@@ -87,15 +87,9 @@ def main():
 def classify(k, tuple_text, fmt):
     """Classification flags for one tuple."""
     w = _parse_tuple(tuple_text, k)
-    long_enough = len(w) >= 2
-    flags = {
-        "negasymmetric": w.is_negasymmetric(),
-        "uniform": w.is_uniform(),
-        "alternating": w.is_alternating() if long_enough else False,
-        "uniform_alternating": w.is_uniform_alternating() if long_enough else False,
-        "left_sns": w.is_left_sns() if long_enough else None,
-        "right_sns": w.is_right_sns() if long_enough else None,
-    }
+    flags = tuples_mod.structural_flags(w)
+    if len(w) < 2:  # a 1-tuple's sns flags are vacuous; report them undefined
+        flags.update(left_sns=None, right_sns=None)
     payload = {"tuple": str(w), "k": k, "flags": flags}
     text = f"tuple {w} over Z_{k}\n" + "".join(
         f"  {name}: {value}\n" for name, value in flags.items())
@@ -163,12 +157,7 @@ def profile(n, k, vertex, fmt):
         "label": str(p.label), "n": n, "k": k,
         "in_degree": p.in_degree, "out_degree": p.out_degree,
         "in_parity": p.in_parity, "out_parity": p.out_parity,
-        "flags": {
-            "left_sns": p.left_sns, "right_sns": p.right_sns,
-            "negasymmetric": p.negasymmetric, "uniform": p.uniform,
-            "alternating": p.alternating,
-            "uniform_alternating": p.uniform_alternating,
-        },
+        "flags": tuples_mod.structural_flags(p.label),
     }
     text = (f"vertex {p.label}: in={p.in_degree} ({p.in_parity}), "
             f"out={p.out_degree} ({p.out_parity})\n"
@@ -213,7 +202,10 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
     n_range, k_range = _parse_range(n_text), _parse_range(k_text)
     if n_range.start < 2 or k_range.start < 3:
         raise click.UsageError("ranges must satisfy n >= 2 and k >= 3")
-    reference = bounds_mod.load_reference_table(reference_csv)
+    try:
+        reference = bounds_mod.load_reference_table(reference_csv)
+    except ValueError as exc:
+        raise click.UsageError(f"{reference_csv}: {exc}")
     cells = bounds_mod.bound_table(n_range, k_range, reference)
     payload = [{
         "n": c.n, "k": c.k, "bound": c.bound, "regime": c.regime,
@@ -334,13 +326,12 @@ def export_dot(n, k, sequence_text, output):
     """DOT export of the reduced graph or one sequence subgraph."""
     try:
         if sequence_text is None:
-            g = graph_mod.ReducedGraph(n, k, explicit=True)
-            text = graph_mod.export_dot(g)
+            text = graph_mod.export_dot(graph_mod.ReducedGraph(n, k))
         else:
             seq = verify_mod.parse_sequence_line(sequence_text, k)
             sub = graph_mod.sequence_subgraph(seq, n)
             text = graph_mod.export_dot(sub, name="nega_sequence_subgraph")
-    except (GraphSizeError,) as exc:
+    except GraphSizeError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_BUDGET)
     except NotAnNosError as exc:

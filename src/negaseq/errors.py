@@ -14,7 +14,7 @@ class EnumerationBudgetError(NegaseqError):
 
 
 class GraphSizeError(NegaseqError):
-    """Requested explicit graph or export exceeds the size budget."""
+    """A DOT export or a search exceeds its size budget."""
 
 
 class NotAnNosError(NegaseqError):

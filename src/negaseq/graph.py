@@ -2,17 +2,17 @@
 
 Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
-drops every negasymmetric n-tuple.  Two representations are kept in sync:
-an implicit membership predicate on integer codes (O(1) memory, used by
-the search) and an optional explicit bitmap (used for exhaustive checks
-and export).
+drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
+Membership is that one rule on single codes; `ReducedGraph.edge_bitmap`
+evaluates it for all codes at once through the shared partner table, a
+second route that backs the edge count and the search's graph hash.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import GraphSizeError, NotAnNosError
 from .tuples import (
@@ -23,6 +23,7 @@ from .tuples import (
     is_negasymmetric_code,
     nega_reverse_code,
     partner_codes,
+    structural_flags,
     window_codes,
 )
 from .verify import PeriodicSequence
@@ -30,7 +31,6 @@ from .verify import PeriodicSequence
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_EXPLICIT_EDGE_BUDGET = 2**24
 DEFAULT_DOT_EDGE_BUDGET = 10**5
 
 
@@ -48,53 +48,29 @@ def edge_count_formula(n: int, k: int) -> int:
 class ReducedGraph:
     """B_k^-(n-1): the de Bruijn graph minus negasymmetric edges.
 
-    Immutable after construction; safe to share between readers.
+    Stores only (n, k); edges are tested on demand.  Immutable after
+    construction; safe to share between readers.
     """
 
-    def __init__(self, n: int, k: int, explicit: bool = False,
-                 edge_budget: int = DEFAULT_EXPLICIT_EDGE_BUDGET):
+    def __init__(self, n: int, k: int):
         if n < 2 or k < 3:
             raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
         self.n = n
         self.k = k
         self.num_vertices = k ** (n - 1)
         self.num_codes = k**n
-        self._bitmap: Optional[np.ndarray] = None
-        if explicit:
-            if self.num_codes > edge_budget:
-                raise GraphSizeError(
-                    f"k^n = {self.num_codes} exceeds the explicit edge budget "
-                    f"of {edge_budget}")
-            self._bitmap = self._build_bitmap()
-
-    def _build_bitmap(self) -> np.ndarray:
-        import numpy as np
-
-        codes = np.arange(self.num_codes, dtype=np.int64)
-        return codes != partner_codes(self.n, self.k)
-
-    @property
-    def explicit(self) -> bool:
-        return self._bitmap is not None
 
     def edge_bitmap(self) -> np.ndarray:
-        """Boolean array over edge codes; built on first use."""
-        if self._bitmap is None:
-            self._bitmap = self._build_bitmap()
-        return self._bitmap
+        """Boolean array over all k^n edge codes, built anew on each call."""
+        import numpy as np
+
+        return np.arange(self.num_codes, dtype=np.int64) != partner_codes(self.n, self.k)
 
     def has_edge_code(self, code: int) -> bool:
-        if self._bitmap is not None:
-            return bool(self._bitmap[code])
         return not is_negasymmetric_code(code, self.n, self.k)
 
-    def has_edge(self, edge: Word) -> bool:
-        if len(edge) != self.n or edge.k != self.k:
-            raise ValueError(f"edge must be an n-tuple over Z_k (n={self.n}, k={self.k})")
-        return self.has_edge_code(edge.code())
-
     def edge_count(self) -> int:
-        """Count edges from the explicit bitmap (independent of the formula)."""
+        """Count edges from the bitmap (independent of the formula)."""
         import numpy as np
 
         return int(np.count_nonzero(self.edge_bitmap()))
@@ -129,11 +105,6 @@ class ReducedGraph:
         return Word(decode(vertex_code, self.n - 1, self.k), self.k)
 
 
-def build_reduced_graph(n: int, k: int, explicit: bool = True,
-                        edge_budget: int = DEFAULT_EXPLICIT_EDGE_BUDGET) -> ReducedGraph:
-    return ReducedGraph(n, k, explicit=explicit, edge_budget=edge_budget)
-
-
 @dataclass(frozen=True)
 class VertexProfile:
     label: Word
@@ -161,18 +132,9 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
     code = v.code()
     in_degree = sum(1 for _ in g.in_edges(code))
     out_degree = sum(1 for _ in g.out_edges(code))
-    # Alternating flags need length >= 2; a length-1 label has neither.
-    long_enough = len(v) >= 2
     return VertexProfile(
-        label=v,
-        in_degree=in_degree,
-        out_degree=out_degree,
-        left_sns=v.is_left_sns(),
-        right_sns=v.is_right_sns(),
-        negasymmetric=v.is_negasymmetric(),
-        uniform=v.is_uniform(),
-        alternating=v.is_alternating() if long_enough else False,
-        uniform_alternating=v.is_uniform_alternating() if long_enough else False,
+        label=v, in_degree=in_degree, out_degree=out_degree,
+        **structural_flags(v),
         in_parity="even" if in_degree % 2 == 0 else "odd",
         out_parity="even" if out_degree % 2 == 0 else "odd",
     )
@@ -267,15 +229,16 @@ def _vertex_attrs(profile: VertexProfile) -> str:
 def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
                name: str = "reduced_debruijn",
                edge_budget: int = DEFAULT_DOT_EDGE_BUDGET) -> str:
+    """DOT text of the graph.  The edge count (closed form for the full
+    graph) is checked against the budget before any code is enumerated."""
     if isinstance(graph, ReducedGraph):
-        g = graph
-        edge_codes = list(g.edges())
+        g, size = graph, edge_count_formula(graph.n, graph.k)
     else:
-        g = ReducedGraph(graph.n, graph.k)
-        edge_codes = sorted(graph.edge_codes)
-    if len(edge_codes) > edge_budget:
+        g, size = ReducedGraph(graph.n, graph.k), len(graph.edge_codes)
+    if size > edge_budget:
         raise GraphSizeError(
-            f"{len(edge_codes)} edges exceed the DOT export budget of {edge_budget}")
+            f"{size} edges exceed the DOT export budget of {edge_budget}")
+    edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
     n, k = g.n, g.k
     lines = [f"digraph {name} {{"]
     for vcode in range(g.num_vertices):

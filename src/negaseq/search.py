@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_MAX_CODES = 2**24
+MAX_CODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class SearchConfig:
     time_budget: Optional[float] = None  # seconds of wall clock
     symmetry_reduction: bool = True
     prune_bound: bool = True
-    max_codes: int = DEFAULT_MAX_CODES
 
     def __post_init__(self):
         if self.n < 2 or self.k < 3:
@@ -136,9 +135,9 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
     n, k = cfg.n, cfg.k
     num_codes = k**n
-    if num_codes > cfg.max_codes:
+    if num_codes > MAX_CODES:
         raise GraphSizeError(
-            f"k^n = {num_codes} exceeds the search bitmap budget of {cfg.max_codes}")
+            f"k^n = {num_codes} exceeds the search bitmap budget of {MAX_CODES}")
 
     started = time.monotonic()
     bound = nos_bound(n, k).value

@@ -108,6 +108,20 @@ class Word:
         return ",".join(str(s) for s in self.symbols)
 
 
+def structural_flags(w: Word) -> dict[str, bool]:
+    """The six structural flags of w.  The alternating predicates need
+    length >= 2; a shorter word is neither alternating nor uniform-alternating."""
+    long_enough = len(w) >= 2
+    return {
+        "negasymmetric": w.is_negasymmetric(),
+        "uniform": w.is_uniform(),
+        "alternating": long_enough and w.is_alternating(),
+        "uniform_alternating": long_enough and w.is_uniform_alternating(),
+        "left_sns": w.is_left_sns(),
+        "right_sns": w.is_right_sns(),
+    }
+
+
 def require_same_alphabet(a: Word, b: Word) -> None:
     if a.k != b.k:
         raise AlphabetMismatchError(f"mixed alphabet sizes k={a.k} and k={b.k}")

@@ -10,7 +10,7 @@ window extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .tuples import Word, window_codes
 
@@ -102,8 +102,6 @@ def _duplicate_witness(codes: list[int]) -> Optional[Witness]:
                 best = pair
         else:
             seen[c] = j
-    if best is None:
-        return None
     return Witness(best[0], best[1], DUPLICATE_WINDOW)
 
 
@@ -124,19 +122,33 @@ def _smallest_image_hit(codes: list[int], image_codes: list[int],
                for t, c in enumerate(image_codes) if c in hits)
 
 
-def is_window_sequence(seq: PeriodicSequence, n: int) -> Verdict:
-    """Valid iff all m cyclic n-windows of the minimal period are distinct.
+def _verdict(seq: PeriodicSequence, n: int, prop: str,
+             image: Optional[Callable[[PeriodicSequence], tuple[int, ...]]] = None,
+             kinds: Optional[tuple[str, str]] = None) -> Verdict:
+    """The one verifier body, O(m) expected.
 
-    O(m) expected: the window codes come from one rolling pass over the
-    period, and one hash set finds a repeat.
+    Normalizes once, takes the rolling window codes of the period and
+    reports the smallest duplicate pair.  With no duplicate and an `image`
+    (the period of -S^R for NOS, of S^R for OS), one hash intersection
+    finds the smallest window equal to the image of a window; `kinds`
+    names that witness when it hits its own image and when another's.
     """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
     norm = seq.normalized()
     m = len(norm)
-    witness = _duplicate_witness(window_codes(norm.symbols, n, norm.k))
-    return Verdict(valid=witness is None, property="window", period=m,
-                   witness=witness, order_exceeds_period=n > m)
+    codes = window_codes(norm.symbols, n, norm.k)
+    witness = _duplicate_witness(codes)
+    if witness is None and image is not None:
+        best = _smallest_image_hit(codes, window_codes(image(norm), n, norm.k), n)
+        if best is not None:
+            witness = Witness(best[0], best[1], kinds[best[0] != best[1]])
+    return Verdict(witness is None, prop, m, witness, order_exceeds_period=n > m)
+
+
+def is_window_sequence(seq: PeriodicSequence, n: int) -> Verdict:
+    """Valid iff all m cyclic n-windows of the minimal period are distinct."""
+    return _verdict(seq, n, "window")
 
 
 def is_nos(seq: PeriodicSequence, n: int) -> Verdict:
@@ -144,26 +156,11 @@ def is_nos(seq: PeriodicSequence, n: int) -> Verdict:
     reverse of any window (including itself, which rules out negasymmetric
     windows).
 
-    Indexed implementation, O(m) expected: rolling window codes of S and
-    of -S^R, whose windows are the nega-reverses of the windows of S, and
-    one hash intersection between them.  The naive quadratic loop is kept
-    as `is_nos_naive` for oracle testing.
+    Window t of -S^R is the nega-reverse of window (m - n - t) mod m of S.
+    The naive quadratic loop is kept as `is_nos_naive` for oracle testing.
     """
-    if n < 2:
-        raise ValueError(f"window order must be at least 2, got n={n}")
-    norm = seq.normalized()
-    m = len(norm)
-    codes = window_codes(norm.symbols, n, norm.k)
-    dup = _duplicate_witness(codes)
-    if dup is not None:
-        return Verdict(False, "nos", m, dup, order_exceeds_period=n > m)
-    nega_reverse_codes = window_codes(norm.nega_reverse().symbols, n, norm.k)
-    best = _smallest_image_hit(codes, nega_reverse_codes, n)
-    if best is None:
-        return Verdict(True, "nos", m, order_exceeds_period=n > m)
-    kind = NEGASYMMETRIC_WINDOW if best[0] == best[1] else NEGA_REVERSE_COLLISION
-    return Verdict(False, "nos", m, Witness(best[0], best[1], kind),
-                   order_exceeds_period=n > m)
+    return _verdict(seq, n, "nos", lambda s: s.nega_reverse().symbols,
+                    (NEGASYMMETRIC_WINDOW, NEGA_REVERSE_COLLISION))
 
 
 def is_nos_naive(seq: PeriodicSequence, n: int) -> Verdict:
@@ -194,24 +191,11 @@ def is_nos_naive(seq: PeriodicSequence, n: int) -> Verdict:
 
 def is_os(seq: PeriodicSequence, n: int) -> Verdict:
     """Orientable-sequence check (plumbing): windows distinct, no window is
-    the reverse of another, and no window is a palindrome.
-
-    O(m) expected, like `is_nos`, with S^R in place of -S^R.
+    the reverse of another, and no window is a palindrome.  Like `is_nos`,
+    with S^R in place of -S^R.
     """
-    if n < 2:
-        raise ValueError(f"window order must be at least 2, got n={n}")
-    norm = seq.normalized()
-    m = len(norm)
-    codes = window_codes(norm.symbols, n, norm.k)
-    dup = _duplicate_witness(codes)
-    if dup is not None:
-        return Verdict(False, "os", m, dup, order_exceeds_period=n > m)
-    reverse_codes = window_codes(norm.symbols[::-1], n, norm.k)
-    best = _smallest_image_hit(codes, reverse_codes, n)
-    if best is None:
-        return Verdict(True, "os", m, order_exceeds_period=n > m)
-    return Verdict(False, "os", m, Witness(best[0], best[1], REVERSE_COLLISION),
-                   order_exceeds_period=n > m)
+    return _verdict(seq, n, "os", lambda s: s.symbols[::-1],
+                    (REVERSE_COLLISION, REVERSE_COLLISION))
 
 
 # -- sequence text format -------------------------------------------------

@@ -66,7 +66,7 @@ def test_criterion_2_edges_and_degrees():
     with criterion(2, "edge counts and degree rule"):
         for k in (3, 4, 5, 6):
             for n in (2, 3, 4, 5):
-                g = ReducedGraph(n, k, explicit=True)
+                g = ReducedGraph(n, k)
                 assert g.edge_count() == edge_count_formula(n, k), (n, k)
                 for v in range(g.num_vertices):
                     p = vertex_profile(g, g.vertex_word(v))

@@ -79,6 +79,19 @@ class TestClassify:
         validate(payload)
         assert payload["flags"]["negasymmetric"] is True
 
+    def test_one_tuple_leaves_sns_undefined(self, runner):
+        result = runner.invoke(main, ["classify", "--k", "3", "--tuple", "1"])
+        assert result.exit_code == 0
+        assert "  left_sns: None\n  right_sns: None\n" in result.output
+        assert "  alternating: False\n" in result.output
+        result = runner.invoke(
+            main, ["classify", "--k", "3", "--tuple", "1", "--format", "json"])
+        payload = json.loads(result.output)
+        validate(payload)
+        assert payload["flags"]["left_sns"] is None
+        assert payload["flags"]["right_sns"] is None
+        assert payload["flags"]["alternating"] is False
+
 
 class TestCount:
     def test_text(self, runner):
@@ -135,6 +148,21 @@ class TestBoundAndTable:
         validate(payload)
         assert len(payload) == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ("n,k,new_bound\n2,3,3\n", "line 2: no value in column 'old_bound'"),
+        ("# comment\nn,k,new_bound,old_bound,best_known,maximal\n2,3,x,3,3,1\n",
+         "line 3: column 'new_bound' is not an integer: 'x'"),
+    ], ids=["missing-column", "non-integer"])
+    def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
+                                                    text, message):
+        path = tmp_path / "reference.csv"
+        path.write_text(text)
+        result = runner.invoke(
+            main, ["table", "--n", "2", "--k", "3", "--reference-csv", str(path)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_table_single_value_range(self, runner):
         result = runner.invoke(main, ["table", "--n", "2", "--k", "3"])
         assert result.exit_code == 0
@@ -155,6 +183,17 @@ class TestEdgesAndProfile:
         assert payload["in_degree"] == 2
         assert payload["out_degree"] == 2
         assert payload["flags"]["left_sns"] and payload["flags"]["right_sns"]
+
+    def test_profile_length_one_label(self, runner):
+        args = ["profile", "--n", "2", "--k", "4", "--vertex", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "left_sns=True right_sns=True" in result.output
+        payload = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        validate(payload)
+        assert payload["flags"]["left_sns"] is True
+        assert payload["flags"]["right_sns"] is True
+        assert payload["flags"]["alternating"] is False
 
     def test_profile_wrong_length(self, runner):
         result = runner.invoke(
@@ -256,6 +295,19 @@ class TestExportDot:
             main, ["export-dot", "--n", "2", "--k", "3", "--sequence", "0,1,1"])
         assert result.exit_code == 0
         assert result.output.count("->") == 6
+
+    def test_full_graph_loads_no_numpy(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "graph.dot"
+        code = ("import sys\nfrom negaseq.cli import main\n"
+                f"main(['export-dot', '--n', '3', '--k', '3', '--output', {str(out)!r}],"
+                " standalone_mode=False)\nprint('numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        assert result.stdout.strip() == "False"
+        assert out.read_text().count("->") == 24
 
     def test_non_nos_sequence_exits_one(self, runner):
         result = runner.invoke(

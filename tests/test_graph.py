@@ -3,7 +3,6 @@ import pytest
 from negaseq.errors import GraphSizeError, NotAnNosError
 from negaseq.graph import (
     ReducedGraph,
-    build_reduced_graph,
     edge_count_formula,
     excluded_edge_budget,
     export_dot,
@@ -27,19 +26,16 @@ class TestEdgeCounts:
 
     def test_formula_matches_bitmap(self):
         for n, k in SMALL:
-            g = build_reduced_graph(n, k)
+            g = ReducedGraph(n, k)
             assert g.edge_count() == edge_count_formula(n, k), (n, k)
 
     def test_implicit_and_explicit_agree(self):
+        # has_edge_code (scalar rule) against edge_bitmap (partner table)
         for n, k in [(2, 3), (3, 4), (4, 3)]:
-            implicit = ReducedGraph(n, k, explicit=False)
-            explicit = ReducedGraph(n, k, explicit=True)
+            g = ReducedGraph(n, k)
+            bitmap = g.edge_bitmap().tolist()
             for code in range(k**n):
-                assert implicit.has_edge_code(code) == explicit.has_edge_code(code)
-
-    def test_explicit_budget(self):
-        with pytest.raises(GraphSizeError):
-            ReducedGraph(4, 4, explicit=True, edge_budget=100)
+                assert g.has_edge_code(code) == bitmap[code]
 
 
 class TestDegrees:
@@ -166,15 +162,15 @@ class TestSequenceSubgraph:
 
 class TestDotExport:
     def test_deterministic(self):
-        a = export_dot(ReducedGraph(2, 3, explicit=True))
-        b = export_dot(ReducedGraph(2, 3, explicit=True))
+        a = export_dot(ReducedGraph(2, 3))
+        b = export_dot(ReducedGraph(2, 3))
         assert a == b
         assert a.startswith("digraph reduced_debruijn {")
         assert a.endswith("}\n")
         assert "\r" not in a
 
     def test_edge_and_vertex_statements(self):
-        text = export_dot(ReducedGraph(2, 3, explicit=True))
+        text = export_dot(ReducedGraph(2, 3))
         lines = text.splitlines()
         edges = [ln for ln in lines if "->" in ln]
         assert len(edges) == 6
@@ -188,7 +184,15 @@ class TestDotExport:
 
     def test_budget(self):
         with pytest.raises(GraphSizeError):
-            export_dot(ReducedGraph(3, 3, explicit=True), edge_budget=5)
+            export_dot(ReducedGraph(3, 3), edge_budget=5)
+
+    def test_budget_checked_before_enumeration(self, monkeypatch):
+        def no_edges(self):
+            raise AssertionError("edges enumerated before the budget check")
+
+        monkeypatch.setattr(ReducedGraph, "edges", no_edges)
+        with pytest.raises(GraphSizeError, match="exceed the DOT export budget"):
+            export_dot(ReducedGraph(12, 4))
 
 
 class TestExcludedEdgeBudget:

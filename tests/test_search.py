@@ -27,7 +27,7 @@ class TestConfig:
 
     def test_graph_size_refusal(self):
         with pytest.raises(GraphSizeError):
-            max_nos_search(SearchConfig(n=10, k=9, max_codes=10**6))
+            max_nos_search(SearchConfig(n=10, k=9))
 
 
 class TestUnits:
