@@ -8,32 +8,40 @@ Submodules:
 * bounds  -- period upper bounds and reference-table regression
 * search  -- exhaustive symmetry-reduced search for maximum-period NOS
 * cli     -- command-line front end
+
+The names in `__all__` are loaded from their submodule on first access
+(PEP 562), so importing the package, or one submodule, compiles nothing
+else: each CLI command pays only for the modules it runs.
 """
 
-from .tuples import TupleClass, Word, count_class, enumerate_class
-from .verify import PeriodicSequence, Verdict, is_nos, is_os, is_window_sequence, minimal_period
-from .graph import (
-    BoundBreakdown,
-    ReducedGraph,
-    SequenceSubgraph,
-    edge_count_formula,
-    excluded_edge_budget,
-    export_dot,
-    sequence_subgraph,
-    vertex_profile,
-)
-from .bounds import BoundValue, bound_table, load_reference_table, nos_bound
-from .search import SearchConfig, SearchResult, canonicalize, certify, max_nos_search
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TupleClass", "Word", "count_class", "enumerate_class",
-    "PeriodicSequence", "Verdict", "is_nos", "is_os", "is_window_sequence",
-    "minimal_period",
-    "BoundBreakdown", "ReducedGraph", "SequenceSubgraph",
-    "edge_count_formula", "excluded_edge_budget", "export_dot",
-    "sequence_subgraph", "vertex_profile",
-    "BoundValue", "bound_table", "load_reference_table", "nos_bound",
-    "SearchConfig", "SearchResult", "canonicalize", "certify", "max_nos_search",
-]
+_EXPORTS = {
+    "tuples": ("TupleClass", "Word", "count_class", "enumerate_class"),
+    "verify": ("PeriodicSequence", "Verdict", "is_nos", "is_os",
+               "is_window_sequence", "minimal_period"),
+    "graph": ("BoundBreakdown", "ReducedGraph", "SequenceSubgraph",
+              "edge_count_formula", "excluded_edge_budget", "export_dot",
+              "sequence_subgraph", "vertex_profile"),
+    "bounds": ("BoundValue", "bound_table", "load_reference_table", "nos_bound"),
+    "search": ("SearchConfig", "SearchResult", "canonicalize", "certify",
+               "max_nos_search"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

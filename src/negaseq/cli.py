@@ -4,20 +4,18 @@ Results go to stdout; diagnostics and timing go to stderr so identical
 invocations produce byte-identical result output.  Exit codes: 0 success
 or verified, 1 verification failed / nothing found, 2 usage error,
 3 budget exceeded.
+
+Each command imports the modules it runs inside its body, so a cold start
+compiles only those (`classify` and `count` need nothing past `tuples`).
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
-from . import bounds as bounds_mod
-from . import graph as graph_mod
-from . import search as search_mod
 from . import tuples as tuples_mod
-from . import verify as verify_mod
 from .errors import EnumerationBudgetError, GraphSizeError, NotAnNosError
 
 EXIT_INVALID = 1
@@ -66,8 +64,24 @@ FORMAT_OPTION = click.option("--format", "fmt", type=FORMATS, default="text",
                              show_default=True, help="Output format.")
 
 
+class BudgetOption(click.Option):
+    """`search --budget`: its default, `search.DEFAULT_NODE_BUDGET`, is read
+    only when it is used or shown in --help, so other commands never load
+    `search`."""
+
+    def get_default(self, ctx, call=True):
+        from . import search as search_mod
+
+        return search_mod.DEFAULT_NODE_BUDGET
+
+
 def _emit(payload, fmt: str, text: str, output=None) -> None:
-    rendered = json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text
+    if fmt == "json":
+        import json
+
+        rendered = json.dumps(payload, sort_keys=True) + "\n"
+    else:
+        rendered = text
     if output is not None:
         output.write(rendered)
     else:
@@ -133,6 +147,8 @@ def count(class_name, n, k, do_enumerate, fmt):
 @FORMAT_OPTION
 def edges(n, k, fmt):
     """Edge count of the reduced de Bruijn graph."""
+    from . import graph as graph_mod
+
     value = graph_mod.edge_count_formula(n, k)
     payload = {"n": n, "k": k, "edges": value,
                "vertices": k ** (n - 1)}
@@ -147,6 +163,8 @@ def edges(n, k, fmt):
 @FORMAT_OPTION
 def profile(n, k, vertex, fmt):
     """Degree and classification profile of one vertex."""
+    from . import graph as graph_mod
+
     g = graph_mod.ReducedGraph(n, k)
     w = _parse_tuple(vertex, k)
     try:
@@ -174,6 +192,8 @@ def profile(n, k, vertex, fmt):
 @FORMAT_OPTION
 def bound(n, k, fmt):
     """New period upper bound for an order-n NOS over Z_k."""
+    from . import bounds as bounds_mod
+
     b = bounds_mod.nos_bound(n, k)
     d = b.breakdown
     payload = {
@@ -199,6 +219,8 @@ def bound(n, k, fmt):
 @FORMAT_OPTION
 def table(n_text, k_text, check_reference, reference_csv, fmt):
     """Grid of period bounds (rows n, columns k)."""
+    from . import bounds as bounds_mod
+
     n_range, k_range = _parse_range(n_text), _parse_range(k_text)
     if n_range.start < 2 or k_range.start < 3:
         raise click.UsageError("ranges must satisfy n >= 2 and k >= 3")
@@ -232,6 +254,8 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
 @FORMAT_OPTION
 def verify(n, k, seed_file, prop, fmt):
     """Verify sequences read from a file or stdin."""
+    from . import verify as verify_mod
+
     check = {"window": verify_mod.is_window_sequence,
              "nos": verify_mod.is_nos,
              "os": verify_mod.is_os}[prop]
@@ -267,8 +291,7 @@ def verify(n, k, seed_file, prop, fmt):
 @main.command()
 @N_OPTION
 @K_OPTION
-@click.option("--budget", type=click.IntRange(min=1),
-              default=search_mod.DEFAULT_NODE_BUDGET,
+@click.option("--budget", cls=BudgetOption, type=click.IntRange(min=1),
               show_default=True, help="Maximum search-tree expansions.")
 @click.option("--time-budget", type=click.FloatRange(min=0, min_open=True),
               default=None, help="Wall-clock cap in seconds.")
@@ -284,6 +307,8 @@ def verify(n, k, seed_file, prop, fmt):
 def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
            output, fmt):
     """Exhaustive (or budgeted) search for a maximum-period NOS."""
+    from . import search as search_mod
+
     cfg = search_mod.SearchConfig(n=n, k=k, node_budget=budget,
                                   time_budget=time_budget,
                                   symmetry_reduction=symmetry,
@@ -324,10 +349,14 @@ def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
               help="Write DOT here instead of stdout.")
 def export_dot(n, k, sequence_text, output):
     """DOT export of the reduced graph or one sequence subgraph."""
+    from . import graph as graph_mod
+
     try:
         if sequence_text is None:
             text = graph_mod.export_dot(graph_mod.ReducedGraph(n, k))
         else:
+            from . import verify as verify_mod
+
             seq = verify_mod.parse_sequence_line(sequence_text, k)
             sub = graph_mod.sequence_subgraph(seq, n)
             text = graph_mod.export_dot(sub, name="nega_sequence_subgraph")

@@ -26,10 +26,11 @@ from .tuples import (
     structural_flags,
     window_codes,
 )
-from .verify import PeriodicSequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .verify import PeriodicSequence
 
 DEFAULT_DOT_EDGE_BUDGET = 10**5
 
@@ -230,14 +231,17 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
                name: str = "reduced_debruijn",
                edge_budget: int = DEFAULT_DOT_EDGE_BUDGET) -> str:
     """DOT text of the graph.  The edge count (closed form for the full
-    graph) is checked against the budget before any code is enumerated."""
+    graph) and the vertex count are each checked against the budget before
+    any code is enumerated: a subgraph's few edges still come with a
+    statement for every one of the k^(n-1) vertices."""
     if isinstance(graph, ReducedGraph):
         g, size = graph, edge_count_formula(graph.n, graph.k)
     else:
         g, size = ReducedGraph(graph.n, graph.k), len(graph.edge_codes)
-    if size > edge_budget:
-        raise GraphSizeError(
-            f"{size} edges exceed the DOT export budget of {edge_budget}")
+    for count, what in ((size, "edges"), (g.num_vertices, "vertices")):
+        if count > edge_budget:
+            raise GraphSizeError(
+                f"{count} {what} exceed the DOT export budget of {edge_budget}")
     edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
     n, k = g.n, g.k
     lines = [f"digraph {name} {{"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,13 @@ def runner():
 
 def validate(payload):
     jsonschema.validate(payload, SCHEMA)
+
+
+def _src_env():
+    """Environment for a child interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestUsageErrors:
@@ -57,13 +65,84 @@ class TestUsageErrors:
 
 
 def test_cli_import_loads_no_numpy():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     code = "import sys, negaseq.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# The negaseq modules a cold start of each command loads: the command's own
+# modules and nothing else.  Only `search` may load numpy.
+COLD_COMMANDS = [
+    (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
+    (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"], {"tuples"}),
+    (["bound", "--n", "5", "--k", "3"], {"tuples", "graph", "bounds"}),
+    (["table", "--n", "2..4", "--k", "3..5", "--check-reference"],
+     {"tuples", "graph", "bounds"}),
+    (["verify", "--n", "2", "--k", "3"], {"tuples", "verify"}),
+    (["export-dot", "--n", "3", "--k", "3"], {"tuples", "graph"}),
+]
+
+
+@pytest.mark.parametrize("args, modules", COLD_COMMANDS,
+                         ids=[args[0] for args, _ in COLD_COMMANDS])
+def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
+    env = _src_env()
+    code = ("import sys\nfrom negaseq.cli import main\n"
+            "try:\n    main(sys.argv[1:], standalone_mode=False)\n"
+            "finally:\n    print(*sorted(sys.modules), file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            cwd=tmp_path, input="0,1,1\n",
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+    loaded = set(result.stderr.split())
+    assert {m for m in loaded if m.startswith("negaseq")} == (
+        {"negaseq", "negaseq.cli", "negaseq.errors"}
+        | {f"negaseq.{m}" for m in modules})
+    assert "numpy" not in loaded
+
+
+# SHA-256 of each command's --help as CliRunner renders it, recorded before
+# the commands imported their modules lazily; the text must not change.
+HELP_SHA256 = {
+    "": "3c5ed6193e0ec143d046f3b23f17128fcd37f09c8bb2bf4ada6a5cbc90f0ebcc",
+    "classify": "00dce68368d28deeb37d96709caeada700c3e24b8484e5d5f91f3ee3d5988348",
+    "count": "fcede7d2147f988903f0a00a6d92aacd2731ec5ea99e3f7a633bee051dd8e845",
+    "edges": "34afde5c7f07f0b3e6d473efdc374f896aa8024c9e530debef1cad3a7db67150",
+    "profile": "db289a6829ca6077bea033a678047e9cbd1c80293b48e4156a14907e36fa5348",
+    "bound": "161540a87615c2478e74a204e18ce10da93a6f60e532a638ea90d779dc72709f",
+    "table": "55426b02c1dec4c58ecb9839aef0437d3fb0822c2274b1546b166eb598815422",
+    "verify": "736ac08d66d2670d3104eed83fb4dfe26ed80e5df871097e919cba42b357b36f",
+    "search": "6d7e4a2a3aeb371bff587ce5638b21aa99df12496e1c3706d9da79238cc47bf4",
+    "export-dot": "4675154d02f738cc95115e4b676bc5b95e8e61eeb11190a94ab1c19edfd34b4c",
+}
+
+
+class TestHelp:
+    def test_search_help_shows_default_budget(self, runner):
+        from negaseq.search import DEFAULT_NODE_BUDGET
+
+        result = runner.invoke(main, ["search", "--help"])
+        assert result.exit_code == 0
+        assert f"[default: {DEFAULT_NODE_BUDGET}; x>=1]" in " ".join(result.output.split())
+
+    def test_default_budget_reaches_the_search(self, runner, monkeypatch):
+        from negaseq import search as search_mod
+
+        seen = []
+        original = search_mod.max_nos_search
+        monkeypatch.setattr(search_mod, "max_nos_search",
+                            lambda cfg: seen.append(cfg.node_budget) or original(cfg))
+        assert runner.invoke(main, ["search", "--n", "2", "--k", "3"]).exit_code == 0
+        assert seen == [search_mod.DEFAULT_NODE_BUDGET]
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_text_unchanged(self, runner, command):
+        result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == HELP_SHA256[command]
 
 
 class TestClassify:
@@ -297,9 +376,7 @@ class TestExportDot:
         assert result.output.count("->") == 6
 
     def test_full_graph_loads_no_numpy(self, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _src_env()
         out = tmp_path / "graph.dot"
         code = ("import sys\nfrom negaseq.cli import main\n"
                 f"main(['export-dot', '--n', '3', '--k', '3', '--output', {str(out)!r}],"
@@ -308,6 +385,13 @@ class TestExportDot:
                                 capture_output=True, text=True)
         assert result.stdout.strip() == "False"
         assert out.read_text().count("->") == 24
+
+    def test_subgraph_vertex_budget_exits_three(self, runner):
+        # Six edges, but one vertex statement for each of 3^11 vertices.
+        result = runner.invoke(
+            main, ["export-dot", "--n", "12", "--k", "3", "--sequence", "0,1,1"])
+        assert result.exit_code == 3
+        assert "177147 vertices exceed the DOT export budget" in result.output
 
     def test_non_nos_sequence_exits_one(self, runner):
         result = runner.invoke(

@@ -1,5 +1,6 @@
 import pytest
 
+from negaseq import graph as graph_mod
 from negaseq.errors import GraphSizeError, NotAnNosError
 from negaseq.graph import (
     ReducedGraph,
@@ -193,6 +194,23 @@ class TestDotExport:
         monkeypatch.setattr(ReducedGraph, "edges", no_edges)
         with pytest.raises(GraphSizeError, match="exceed the DOT export budget"):
             export_dot(ReducedGraph(12, 4))
+
+
+    def test_subgraph_vertex_count_is_budgeted(self):
+        sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 3)
+        assert sub.edge_count() == 6
+        with pytest.raises(GraphSizeError, match="9 vertices exceed"):
+            export_dot(sub, edge_budget=8)
+        assert export_dot(sub, edge_budget=9).count("->") == 6
+
+    def test_subgraph_vertex_budget_checked_first(self, monkeypatch):
+        def no_profiles(*args):
+            raise AssertionError("vertices enumerated before the budget check")
+
+        monkeypatch.setattr(graph_mod, "vertex_profile", no_profiles)
+        sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 12)
+        with pytest.raises(GraphSizeError, match="177147 vertices exceed"):
+            export_dot(sub)
 
 
 class TestExcludedEdgeBudget:
