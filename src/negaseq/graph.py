@@ -208,19 +208,14 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
 # encode the classification: negasymmetric -> grey, both-sns -> gold,
 # left-sns only -> lightblue, right-sns only -> lightgreen.
 
-def _vertex_name(code: int, n: int, k: int) -> str:
-    sep = "" if k <= 10 else "_"
-    return sep.join(str(s) for s in decode(code, n - 1, k))
-
-
-def _vertex_attrs(profile: VertexProfile) -> str:
-    if profile.negasymmetric:
+def _vertex_attrs(flags: dict[str, bool]) -> str:
+    if flags["negasymmetric"]:
         color = "grey"
-    elif profile.left_sns and profile.right_sns:
+    elif flags["left_sns"] and flags["right_sns"]:
         color = "gold"
-    elif profile.left_sns:
+    elif flags["left_sns"]:
         color = "lightblue"
-    elif profile.right_sns:
+    elif flags["right_sns"]:
         color = "lightgreen"
     else:
         color = "white"
@@ -243,18 +238,18 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
             raise GraphSizeError(
                 f"{count} {what} exceed the DOT export budget of {edge_budget}")
     edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
-    n, k = g.n, g.k
+    k = g.k
+    sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
+    names = []  # each vertex name decoded once; edges index into it
     for vcode in range(g.num_vertices):
         word = g.vertex_word(vcode)
-        attrs = _vertex_attrs(vertex_profile(g, word))
-        lines.append(f'  "{_vertex_name(vcode, n, k)}" [{attrs}];')
+        names.append(sep.join(map(str, word.symbols)))
+        lines.append(f'  "{names[-1]}" [{_vertex_attrs(structural_flags(word))}];')
     for ecode in edge_codes:
-        tail = _vertex_name(ecode // k, n, k)
-        head = _vertex_name(ecode % g.num_vertices, n, k)
-        label = "" if k <= 10 else "_"
-        label = label.join(str(s) for s in decode(ecode, n, k))
-        lines.append(f'  "{tail}" -> "{head}" [label="{label}"];')
+        tail = names[ecode // k]  # an edge's label is its tail plus one symbol
+        lines.append(f'  "{tail}" -> "{names[ecode % g.num_vertices]}" '
+                     f'[label="{tail}{sep}{ecode % k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -14,13 +14,19 @@ maximum-length walk:
 * alphabet symmetry: the maps x -> u*x (u a unit of Z_k) and e -> -e^R
   send valid walks to valid walks of the same length, so the first edge
   can be restricted to codes minimal within their orbit under that group.
+  Each code is tested for orbit minimality only when the first-edge loop
+  reaches it, so a budgeted run pays for the few codes it starts from.
+
+The only per-code table set-up builds is the partner map e -> -e^R, one
+numpy pass read in place.  The used-edge bitmap starts with the
+negasymmetric codes (the non-edges) set, and they stay set.
 
 Optionally, branches are cut when the walk length plus an upper bound on
 the edges a completion can still add cannot beat the incumbent.  That
 bound is the smaller of the still-unused edge pairs and a degree bound,
 the sum over vertices of min(available in, available out) with +-1
 endpoint corrections.  The degree sum is kept incrementally as edges are
-marked and unmarked, so the bound costs O(1) per node.  The whole search
+taken and released, so the bound costs O(1) per node.  The whole search
 stops once the incumbent meets the proven period upper bound (no longer
 walk can exist).
 """
@@ -31,16 +37,13 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import partner_codes
+from .tuples import decode, partner_codes
 from .verify import PeriodicSequence, is_nos
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_NODE_BUDGET = 10**9
 MAX_CODES = 2**24
@@ -85,43 +88,44 @@ def canonicalize(seq: PeriodicSequence, n: int) -> PeriodicSequence:
 
     All three generators preserve the NOS property, so the orbit is a
     legitimate symmetry class for deduplication.
+
+    The least rotation of a variant starts at its smallest symbol, so only
+    those rotations are compared, and a variant whose smallest symbol is
+    above the incumbent's first cannot win at all.
     """
     best: Optional[tuple[int, ...]] = None
     k = seq.k
     for variant in (seq.symbols, seq.nega_reverse().symbols):
+        m = len(variant)
         for u in units(k):
-            mapped = tuple((u * s) % k for s in variant)
-            m = len(mapped)
+            mapped = tuple(map([u * s % k for s in range(k)].__getitem__, variant))
+            low = min(mapped)
+            if best is not None and low > best[0]:
+                continue
             doubled = mapped + mapped
-            for r in range(m):
+            r = doubled.index(low)
+            while r < m:
                 rotated = doubled[r:r + m]
                 if best is None or rotated < best:
                     best = rotated
+                r = doubled.index(low, r + 1)
     assert best is not None
     return PeriodicSequence(best, k)
 
 
-def _orbit_minimal_mask(partner: np.ndarray, n: int, k: int) -> np.ndarray:
-    """mask[e] true iff e == min over {u(e), u(partner(e)) : u unit of Z_k}.
+def _orbit_minimal(e: int, partner_e: int, n: int, k: int, us: list[int]) -> bool:
+    """True iff e is the least code in its orbit {u(e), u(-e^R) : u in us}.
 
-    One pass over the digit positions builds the image of every code under
-    each unit by Horner's rule, image_u(p*k + d) = image_u(p)*k + (u*d % k);
-    no digit stack is kept and no division is done.
+    Codes order like their digit tuples, so images are compared as tuples;
+    the test stops at the first image below e.
     """
-    import numpy as np
-
-    digits = np.arange(k, dtype=np.int64)
-    us = units(k)
-    images = [np.zeros(1, dtype=np.int64) for _ in us]
-    for _ in range(n):
-        images = [np.add.outer(image * k, digits * u % k).ravel()
-                  for u, image in zip(us, images)]
-    codes = np.arange(k**n, dtype=np.int64)
-    orbit_min = codes.copy()
-    for image in images:
-        np.minimum(orbit_min, image, out=orbit_min)
-        np.minimum(orbit_min, image[partner], out=orbit_min)
-    return codes == orbit_min
+    word = decode(e, n, k)
+    partner_word = decode(partner_e, n, k)
+    for u in us:
+        scale = [u * s % k for s in range(k)].__getitem__
+        if tuple(map(scale, word)) < word or tuple(map(scale, partner_word)) < word:
+            return False
+    return True
 
 
 def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
@@ -144,18 +148,12 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
     partner_arr = partner_codes(n, k)
     is_edge = np.arange(num_codes, dtype=np.int64) != partner_arr
-    if cfg.symmetry_reduction:
-        candidate_mask = is_edge & _orbit_minimal_mask(partner_arr, n, k)
-    else:
-        candidate_mask = is_edge
-    candidates = np.flatnonzero(candidate_mask).tolist()
-
-    partner = partner_arr.tolist()
-    edge_ok = is_edge.tolist()
+    partner = memoryview(partner_arr)  # zero-copy; items are Python ints
     edge_codes = np.flatnonzero(is_edge)
     total_pairs = len(edge_codes) // 2
-
-    used = bytearray(num_codes)
+    # Negasymmetric codes are no edges: they start used and stay used.
+    used = bytearray((~is_edge).tobytes())
+    symmetry, us = cfg.symmetry_reduction, units(k)
     num_vertices = k ** (n - 1)
 
     # Per-vertex counts of available (unused, unblocked) edges.  They back
@@ -163,39 +161,13 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     # current walk can still add: a trail from v back to start departs each
     # vertex at most min(in, out) times, with +-1 endpoint slack.  flow is
     # the running sum of min(avail_in[w], avail_out[w]) over all vertices w,
-    # kept exact by mark/unmark so the bound costs O(1) per node.
+    # kept exact as edges are taken and released, so the bound costs O(1)
+    # per node.
     in_counts = np.bincount(edge_codes % num_vertices, minlength=num_vertices)
     out_counts = np.bincount(edge_codes // k, minlength=num_vertices)
     flow = int(np.minimum(in_counts, out_counts).sum())
     avail_in = in_counts.tolist()
     avail_out = out_counts.tolist()
-
-    # Lowering a count lowers its vertex's min iff it was not above the other
-    # count; raising it raises the min iff it was below.  A self-loop needs
-    # no special case: its two updates run one after the other.
-    def mark(e: int) -> None:
-        nonlocal flow
-        for c in (e, partner[e]):
-            used[c] = 1
-            t, h = c // k, c % num_vertices
-            if avail_out[t] <= avail_in[t]:
-                flow -= 1
-            avail_out[t] -= 1
-            if avail_in[h] <= avail_out[h]:
-                flow -= 1
-            avail_in[h] -= 1
-
-    def unmark(e: int) -> None:
-        nonlocal flow
-        for c in (e, partner[e]):
-            used[c] = 0
-            t, h = c // k, c % num_vertices
-            if avail_out[t] < avail_in[t]:
-                flow += 1
-            avail_out[t] += 1
-            if avail_in[h] < avail_out[h]:
-                flow += 1
-            avail_in[h] += 1
 
     def completion_bound(v: int, start: int) -> int:
         total = flow
@@ -240,57 +212,79 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                             and seq.symbols < best_seq.symbols):
             best_len, best_seq = m, seq
 
-    for e0 in candidates:
+    # First edges are tested as the loop reaches them, so a budgeted run
+    # pays only for the codes it actually starts from.
+    for e0 in range(num_codes):
         if best_len >= bound or aborted:
             break
-        mark(e0)
-        pairs_rem = total_pairs - 1
+        if used[e0] or (symmetry and not _orbit_minimal(e0, partner[e0], n, k, us)):
+            continue
         start = e0 // k
-        walk = [e0]
-        ptr = [0]
-        vstack = [e0 % num_vertices]
-        while walk:
-            d = len(walk) - 1
-            v = vstack[d]
-            if ptr[d] == 0:
-                if v == start and len(walk) >= best_len:
+        walk: list[int] = []
+        ptr: list[int] = []  # next out-edge offset to try at each depth
+        e = e0
+        while True:
+            if e >= 0:  # take e and its partner
+                walk.append(e)
+                ptr.append(0)
+                # Lowering a count lowers its vertex's min iff it was not
+                # above the other count.  A self-loop needs no special
+                # case: its two updates run one after the other.
+                for c in (e, partner[e]):
+                    used[c] = 1
+                    t, h = c // k, c % num_vertices
+                    if avail_out[t] <= avail_in[t]:
+                        flow -= 1
+                    avail_out[t] -= 1
+                    if avail_in[h] <= avail_out[h]:
+                        flow -= 1
+                    avail_in[h] -= 1
+            else:  # release the last edge and its partner
+                e = walk.pop()
+                ptr.pop()
+                # Raising a count raises its vertex's min iff it was below.
+                for c in (e, partner[e]):
+                    used[c] = 0
+                    t, h = c // k, c % num_vertices
+                    if avail_out[t] < avail_in[t]:
+                        flow += 1
+                    avail_out[t] += 1
+                    if avail_in[h] < avail_out[h]:
+                        flow += 1
+                    avail_in[h] += 1
+                if not walk:
+                    break
+            depth = len(walk)
+            d = depth - 1
+            v = walk[d] % num_vertices
+            x = ptr[d]
+            if x == 0:  # first visit of this node
+                if v == start and depth >= best_len:
                     record(walk)
                     if best_len >= bound:
-                        break
-                if prune:
+                        ptr[:] = [k] * depth  # unwind the whole walk
+                        x = k
+                if prune and x == 0:
                     room = completion_bound(v, start)
-                    if room > pairs_rem:
-                        room = pairs_rem
-                    if room < 0 or len(walk) + room <= best_len:
-                        ptr[d] = k  # cannot close or cannot beat the incumbent
-            x = ptr[d]
+                    if room > total_pairs - depth:
+                        room = total_pairs - depth  # one edge per unused pair
+                    if room < 0 or depth + room <= best_len:
+                        x = k  # cannot close or cannot beat the incumbent
             base = v * k
             e = -1
             while x < k:
                 cand = base + x
                 x += 1
-                if cand > e0 and edge_ok[cand] and not used[cand]:
+                if cand > e0 and not used[cand]:
                     e = cand
                     break
-            if e < 0:
-                unmark(walk.pop())
-                ptr.pop()
-                vstack.pop()
-                pairs_rem += 1
-                continue
-            ptr[d] = x
-            mark(e)
-            pairs_rem -= 1
-            expansions += 1
-            walk.append(e)
-            ptr.append(0)
-            vstack.append(e % num_vertices)
-            if out_of_budget():
-                aborted = True
-                break
-        # unwind anything left on the stack (early break paths)
-        for e in walk:
-            unmark(e)
+            if e >= 0:
+                ptr[d] = x
+                expansions += 1
+                if out_of_budget():
+                    aborted = True
+                    ptr[:] = [k] * depth  # unwind the whole walk
+                    e = -1
 
     elapsed = time.monotonic() - started
     optimal = (not aborted) or best_len >= bound

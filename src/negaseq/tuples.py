@@ -36,7 +36,7 @@ class Word:
                              " (negating a symbol is the identity for k=2)")
         if not self.symbols:
             raise ValueError("word must be nonempty")
-        if any(not (0 <= s < self.k) for s in self.symbols):
+        if min(self.symbols) < 0 or max(self.symbols) >= self.k:
             raise ValueError(f"symbols {self.symbols} out of range for k={self.k}")
 
     def __len__(self) -> int:

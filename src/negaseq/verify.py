@@ -32,7 +32,7 @@ class PeriodicSequence:
             raise ValueError(f"alphabet size must be at least 3, got k={self.k}")
         if not self.symbols:
             raise ValueError("sequence must be nonempty")
-        if any(not (0 <= s < self.k) for s in self.symbols):
+        if min(self.symbols) < 0 or max(self.symbols) >= self.k:
             raise ValueError(f"symbols {self.symbols} out of range for k={self.k}")
 
     def __len__(self) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from negaseq import graph as graph_mod
@@ -208,9 +210,31 @@ class TestDotExport:
             raise AssertionError("vertices enumerated before the budget check")
 
         monkeypatch.setattr(graph_mod, "vertex_profile", no_profiles)
+        monkeypatch.setattr(graph_mod, "structural_flags", no_profiles)
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 12)
         with pytest.raises(GraphSizeError, match="177147 vertices exceed"):
             export_dot(sub)
+
+    # SHA-256 of the DOT text, recorded from the export that decoded both
+    # endpoint names of every edge and built a full vertex profile per vertex.
+    @pytest.mark.parametrize("make,name,digest", [
+        (lambda: ReducedGraph(3, 3), "reduced_debruijn",
+         "565483b51f5b27dac6a114eb3bc909ba8538864f3243405ce1910a4bece7029d"),
+        (lambda: ReducedGraph(4, 4), "reduced_debruijn",
+         "3029324b7897d62fb62dadcc52f53cedfbe857e6d0b24c5cc8f1bfd22871800b"),
+        (lambda: ReducedGraph(2, 11), "reduced_debruijn",
+         "a78e2bdd12df75c29fa472aaab0de2fd7092a13abb3f8775e34b5ba510d7fedf"),
+        (lambda: sequence_subgraph(PeriodicSequence(
+            (0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 1, 2, 0, 1, 3, 1, 1, 3, 2, 2, 3, 2, 3, 1),
+            4), 3), "nega_sequence_subgraph",
+         "afa1697886d517ab46a5fc64f18ea970e1a604fa3dce20d553b325ca570851e7"),
+        (lambda: sequence_subgraph(PeriodicSequence((0, 1, 3), 12), 2),
+         "nega_sequence_subgraph",
+         "f6fd5e51d284a7597f6f87a9c24512b9ba7e895b88db8c881dacfeb4d7b20095"),
+    ], ids=["full-3-3", "full-4-4", "full-2-11", "subgraph-3-4", "subgraph-2-12"])
+    def test_text_pinned(self, make, name, digest):
+        text = export_dot(make(), name=name)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestExcludedEdgeBudget:

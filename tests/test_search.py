@@ -1,9 +1,13 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negaseq.errors import GraphSizeError
 from negaseq.search import (
     SearchConfig,
-    _orbit_minimal_mask,
+    _orbit_minimal,
     canonicalize,
     certify,
     graph_content_hash,
@@ -63,19 +67,62 @@ class TestCanonicalize:
         m = len(rep.symbols)
         assert all(rep.symbols <= doubled[r:r + m] for r in range(m))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 9).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=30))))
+    def test_equals_minimum_over_all_rotations(self, case):
+        k, symbols = case
+        seq = PeriodicSequence(tuple(symbols), k)
+        # Every rotation of every unit image of S and -S^R, 2*|U|*m words.
+        best = None
+        for variant in (seq.symbols, seq.nega_reverse().symbols):
+            for u in units(k):
+                mapped = tuple((u * s) % k for s in variant)
+                m = len(mapped)
+                doubled = mapped + mapped
+                for r in range(m):
+                    rotated = doubled[r:r + m]
+                    if best is None or rotated < best:
+                        best = rotated
+        assert canonicalize(seq, 2) == PeriodicSequence(best, k)
+
+
+def _orbit_minimal_mask(partner, n, k):
+    """Vectorised oracle: mask[e] iff e == min over {u(e), u(partner(e))}.
+
+    Builds the image of every code under each unit by Horner's rule,
+    image_u(p*k + d) = image_u(p)*k + (u*d % k).
+    """
+    digits = np.arange(k, dtype=np.int64)
+    us = units(k)
+    images = [np.zeros(1, dtype=np.int64) for _ in us]
+    for _ in range(n):
+        images = [np.add.outer(image * k, digits * u % k).ravel()
+                  for u, image in zip(us, images)]
+    codes = np.arange(k**n, dtype=np.int64)
+    orbit_min = codes.copy()
+    for image in images:
+        np.minimum(orbit_min, image, out=orbit_min)
+        np.minimum(orbit_min, image[partner], out=orbit_min)
+    return codes == orbit_min
+
 
 class TestOrbitMinimalMask:
-    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (3, 6), (4, 3)])
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (3, 6), (4, 3), (2, 12)])
     def test_matches_scalar_orbit_minimum(self, n, k):
         def scale(u, code):
             return encode(tuple(u * d % k for d in decode(code, n, k)), k)
 
-        mask = _orbit_minimal_mask(partner_codes(n, k), n, k).tolist()
+        partner = partner_codes(n, k)
+        mask = _orbit_minimal_mask(partner, n, k).tolist()
         expected = [
             e == min(min(scale(u, e), scale(u, nega_reverse_code(e, n, k)))
                      for u in units(k))
             for e in range(k**n)]
         assert mask == expected
+        lazy = [_orbit_minimal(e, int(partner[e]), n, k, units(k))
+                for e in range(k**n)]
+        assert lazy == mask
 
 
 class TestExhaustiveSearch:
@@ -154,6 +201,37 @@ class TestPinnedOutcomes:
                                    prune_bound=prune)
                 result = max_nos_search(cfg)
                 assert (result.period, result.optimal) == (10, True), (sym, prune)
+
+
+class TestOutcomeDigest:
+    """One SHA-256 over the outcomes and certificates of 104 searches.
+
+    Recorded from the search that precomputed its orbit mask and edge lists:
+    the n = 2 cells for k = 3..13, (3, 3) and 14 budgeted cells, each under
+    the four symmetry/prune toggles.  Without pruning, the n = 2 cells and
+    (3, 3) run under a budget of 5000 expansions.
+    """
+
+    CELLS = [(2, k, None) for k in range(3, 14)] + [(3, 3, None)] + [
+        (3, 4, 3000), (4, 3, 3000), (8, 5, 100), (5, 3, 2000), (3, 5, 2000),
+        (3, 6, 1000), (4, 4, 1000), (5, 4, 500), (6, 3, 1000), (4, 5, 500),
+        (3, 7, 500), (7, 3, 500), (6, 4, 200), (5, 5, 200)]
+
+    def test_outcomes_pinned(self):
+        parts = []
+        for n, k, budget in self.CELLS:
+            for sym in (True, False):
+                for prune in (True, False):
+                    b = budget or (10**9 if prune else 5000)
+                    r = max_nos_search(SearchConfig(
+                        n=n, k=k, node_budget=b, symmetry_reduction=sym,
+                        prune_bound=prune))
+                    parts.append(f"{n} {k} {b} {sym} {prune} {r.period} "
+                                 f"{r.expansions} {r.optimal} {r.best_sequence}\n")
+                    parts.append(certify(r))
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == ("04888f8e484967381f3de041746ecd32"
+                          "2d8fd6aafc18477da68f1b673bfc3b90")
 
 
 class TestBudgets:

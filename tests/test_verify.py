@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from negaseq.tuples import encode, window_codes
+from negaseq.tuples import Word, encode, window_codes
 from negaseq.verify import (
     DUPLICATE_WINDOW,
     NEGA_REVERSE_COLLISION,
@@ -68,6 +68,17 @@ class TestPeriodicSequence:
             PeriodicSequence((), 3)
         with pytest.raises(ValueError):
             PeriodicSequence((0, 3), 3)
+
+    @pytest.mark.parametrize("cls", [PeriodicSequence, Word])
+    @pytest.mark.parametrize("symbols", [(0, -1, 2), (0, 3, 1), (3,), (-1,)])
+    def test_out_of_range_message(self, cls, symbols):
+        with pytest.raises(ValueError) as info:
+            cls(symbols, 3)
+        assert str(info.value) == f"symbols {symbols} out of range for k=3"
+
+    @pytest.mark.parametrize("cls", [PeriodicSequence, Word])
+    def test_single_symbol_in_range(self, cls):
+        assert cls((0,), 3).symbols == (0,) and cls((2,), 3).symbols == (2,)
 
     def test_window_wraps(self):
         s = seq([0, 1, 2], 3)
