@@ -38,9 +38,12 @@ def _parse_range(text: str) -> range:
     else:
         lo = hi = text
     try:
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise click.UsageError(f"bad range {text!r}; expected a..b")
+    if hi < lo:
+        raise click.UsageError(f"empty range {text!r}; expected a..b with a <= b")
+    return range(lo, hi + 1)
 
 
 class KParam(click.IntRange):

@@ -5,10 +5,6 @@ class NegaseqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class AlphabetMismatchError(NegaseqError):
-    """Two operands with different alphabet sizes were combined."""
-
-
 class EnumerationBudgetError(NegaseqError):
     """k^n exceeds the configured enumeration budget."""
 

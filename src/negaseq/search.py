@@ -21,14 +21,11 @@ The only per-code table set-up builds is the partner map e -> -e^R, one
 numpy pass read in place.  The used-edge bitmap starts with the
 negasymmetric codes (the non-edges) set, and they stay set.
 
-Optionally, branches are cut when the walk length plus an upper bound on
-the edges a completion can still add cannot beat the incumbent.  That
-bound is the smaller of the still-unused edge pairs and a degree bound,
-the sum over vertices of min(available in, available out) with +-1
-endpoint corrections.  The degree sum is kept incrementally as edges are
-taken and released, so the bound costs O(1) per node.  The whole search
-stops once the incumbent meets the proven period upper bound (no longer
-walk can exist).
+Optionally, a branch is cut when the walk can never close: it has left
+its start vertex and every in-edge of that vertex is used or blocked by
+a used partner.  A count of those unused in-edges is kept as edges are
+taken and released.  The whole search stops once the incumbent meets the
+proven period upper bound (no longer walk can exist).
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ def units(k: int) -> list[int]:
     return [u for u in range(1, k) if math.gcd(u, k) == 1]
 
 
-def canonicalize(seq: PeriodicSequence, n: int) -> PeriodicSequence:
+def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     """Lexicographically least word in the orbit of seq under rotations,
     the nega-reverse map and unit symbol multiplication.
 
@@ -149,39 +146,10 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     partner_arr = partner_codes(n, k)
     is_edge = np.arange(num_codes, dtype=np.int64) != partner_arr
     partner = memoryview(partner_arr)  # zero-copy; items are Python ints
-    edge_codes = np.flatnonzero(is_edge)
-    total_pairs = len(edge_codes) // 2
     # Negasymmetric codes are no edges: they start used and stay used.
     used = bytearray((~is_edge).tobytes())
     symmetry, us = cfg.symmetry_reduction, units(k)
     num_vertices = k ** (n - 1)
-
-    # Per-vertex counts of available (unused, unblocked) edges.  They back
-    # an admissible upper bound on how many edges a completion of the
-    # current walk can still add: a trail from v back to start departs each
-    # vertex at most min(in, out) times, with +-1 endpoint slack.  flow is
-    # the running sum of min(avail_in[w], avail_out[w]) over all vertices w,
-    # kept exact as edges are taken and released, so the bound costs O(1)
-    # per node.
-    in_counts = np.bincount(edge_codes % num_vertices, minlength=num_vertices)
-    out_counts = np.bincount(edge_codes // k, minlength=num_vertices)
-    flow = int(np.minimum(in_counts, out_counts).sum())
-    avail_in = in_counts.tolist()
-    avail_out = out_counts.tolist()
-
-    def completion_bound(v: int, start: int) -> int:
-        total = flow
-        if v == start:
-            return total
-        a, b = avail_in[v], avail_out[v]
-        total -= a if a < b else b
-        total += b if b < a + 1 else a + 1
-        a, b = avail_in[start], avail_out[start]
-        if a == 0:
-            return -1  # the walk can never close again
-        total -= a if a < b else b
-        total += b if b < a - 1 else a - 1
-        return total
 
     best_len = 0
     best_seq: Optional[PeriodicSequence] = None
@@ -199,7 +167,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     def record(walk: list[int]) -> None:
         nonlocal best_len, best_seq
         m = len(walk)
-        seq = canonicalize(_walk_to_sequence(walk, n, k), n)
+        seq = canonicalize(_walk_to_sequence(walk, n, k))
         verdict = is_nos(seq, n)
         if not verdict.valid or verdict.period != m:
             raise InternalConsistencyError(
@@ -220,6 +188,8 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
         if used[e0] or (symmetry and not _orbit_minimal(e0, partner[e0], n, k, us)):
             continue
         start = e0 // k
+        # Unused in-edges of start: once none is left, the walk cannot close.
+        start_in = sum(not used[y * num_vertices + start] for y in range(k))
         walk: list[int] = []
         ptr: list[int] = []  # next out-edge offset to try at each depth
         e = e0
@@ -227,31 +197,17 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             if e >= 0:  # take e and its partner
                 walk.append(e)
                 ptr.append(0)
-                # Lowering a count lowers its vertex's min iff it was not
-                # above the other count.  A self-loop needs no special
-                # case: its two updates run one after the other.
                 for c in (e, partner[e]):
                     used[c] = 1
-                    t, h = c // k, c % num_vertices
-                    if avail_out[t] <= avail_in[t]:
-                        flow -= 1
-                    avail_out[t] -= 1
-                    if avail_in[h] <= avail_out[h]:
-                        flow -= 1
-                    avail_in[h] -= 1
+                    if c % num_vertices == start:
+                        start_in -= 1
             else:  # release the last edge and its partner
                 e = walk.pop()
                 ptr.pop()
-                # Raising a count raises its vertex's min iff it was below.
                 for c in (e, partner[e]):
                     used[c] = 0
-                    t, h = c // k, c % num_vertices
-                    if avail_out[t] < avail_in[t]:
-                        flow += 1
-                    avail_out[t] += 1
-                    if avail_in[h] < avail_out[h]:
-                        flow += 1
-                    avail_in[h] += 1
+                    if c % num_vertices == start:
+                        start_in += 1
                 if not walk:
                     break
             depth = len(walk)
@@ -264,12 +220,8 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                     if best_len >= bound:
                         ptr[:] = [k] * depth  # unwind the whole walk
                         x = k
-                if prune and x == 0:
-                    room = completion_bound(v, start)
-                    if room > total_pairs - depth:
-                        room = total_pairs - depth  # one edge per unused pair
-                    if room < 0 or depth + room <= best_len:
-                        x = k  # cannot close or cannot beat the incumbent
+                if prune and x == 0 and v != start and start_in == 0:
+                    x = k  # the walk can never close again
             base = v * k
             e = -1
             while x < k:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import AlphabetMismatchError, EnumerationBudgetError
+from .errors import EnumerationBudgetError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,11 +120,6 @@ def structural_flags(w: Word) -> dict[str, bool]:
         "left_sns": w.is_left_sns(),
         "right_sns": w.is_right_sns(),
     }
-
-
-def require_same_alphabet(a: Word, b: Word) -> None:
-    if a.k != b.k:
-        raise AlphabetMismatchError(f"mixed alphabet sizes k={a.k} and k={b.k}")
 
 
 # -- integer codes --------------------------------------------------------

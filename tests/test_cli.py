@@ -41,6 +41,18 @@ class TestUsageErrors:
         result = runner.invoke(main, ["table", "--n", "x..y", "--k", "3..4"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n_text, k_text, reversed_text", [
+        ("5..3", "3..4", "5..3"), ("2..3", "4..3", "4..3"),
+    ], ids=["n", "k"])
+    def test_reversed_range_is_usage_error(self, runner, n_text, k_text,
+                                           reversed_text, fmt):
+        result = runner.invoke(main, ["table", "--n", n_text, "--k", k_text,
+                                      "--format", fmt])
+        assert result.exit_code == 2
+        assert repr(reversed_text) in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_required_option(self, runner):
         result = runner.invoke(main, ["bound", "--n", "2"])
         assert result.exit_code == 2

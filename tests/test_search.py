@@ -45,8 +45,8 @@ class TestUnits:
 class TestCanonicalize:
     def test_idempotent(self):
         s = PeriodicSequence((2, 0, 1, 1), 3)
-        c = canonicalize(s, 2)
-        assert canonicalize(c, 2) == c
+        c = canonicalize(s)
+        assert canonicalize(c) == c
 
     def test_orbit_collapse(self):
         s = PeriodicSequence((0, 1, 1), 3)
@@ -57,12 +57,12 @@ class TestCanonicalize:
             s.nega_reverse(),
             PeriodicSequence(tuple((2 * x) % 3 for x in s.symbols), 3),
         ]
-        rep = canonicalize(s, 2)
+        rep = canonicalize(s)
         for v in variants:
-            assert canonicalize(v, 2) == rep
+            assert canonicalize(v) == rep
 
     def test_is_lexicographically_least_rotation(self):
-        rep = canonicalize(PeriodicSequence((1, 1, 0), 3), 2)
+        rep = canonicalize(PeriodicSequence((1, 1, 0), 3))
         doubled = rep.symbols + rep.symbols
         m = len(rep.symbols)
         assert all(rep.symbols <= doubled[r:r + m] for r in range(m))
@@ -84,7 +84,7 @@ class TestCanonicalize:
                     rotated = doubled[r:r + m]
                     if best is None or rotated < best:
                         best = rotated
-        assert canonicalize(seq, 2) == PeriodicSequence(best, k)
+        assert canonicalize(seq) == PeriodicSequence(best, k)
 
 
 def _orbit_minimal_mask(partner, n, k):
@@ -164,14 +164,16 @@ class TestExhaustiveSearch:
 
 
 class TestPinnedOutcomes:
-    """Periods, expansion counts and sequences from the O(V)-bound search.
+    """Periods, expansion counts and sequences of the pruned search.
 
-    The pruning bound decides which subtrees are cut, so any drift in its
-    bookkeeping changes these numbers.
+    The cut at walks that can no longer return to their start vertex
+    decides which subtrees are explored, so any drift in its count of the
+    start vertex's unused in-edges changes these numbers.
     """
 
     @pytest.mark.parametrize("n,k,period,expansions",
-                             [(3, 3, 10, 493), (2, 11, 55, 63)])
+                             [(3, 3, 10, 493), (2, 11, 55, 63), (2, 16, 119, 160),
+                              (2, 20, 189, 246), (2, 24, 275, 350)])
     def test_exhaustive_cells(self, n, k, period, expansions):
         result = max_nos_search(SearchConfig(n=n, k=k))
         assert result.optimal
