@@ -94,28 +94,32 @@ def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Opti
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
     """Parse the reference CSV (the packaged one unless a path is given).
 
-    A missing column or a non-integer field raises ValueError naming the
-    file line and the column.
+    A file that cannot be read or decoded, a missing column or a non-integer
+    field raises ValueError that starts with the path and names the file
+    line and the column.
     """
-    if path is None:
-        text = (resources.files("negaseq") / "data" / "reference_bounds.csv").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
-                if ln and not ln.startswith("#")]
-    reader = csv.DictReader(ln for _, ln in numbered)
-    entries: dict[tuple[int, int], ReferenceEntry] = {}
-    for row in reader:
-        line = numbered[reader.line_num - 1][0]
-        n, k, new, old = (_int_cell(row, column, line)
-                          for column in ("n", "k", "new_bound", "old_bound"))
-        best, maximal = (_int_cell(row, column, line, optional=True)
-                         for column in ("best_known", "maximal"))
-        entries[(n, k)] = ReferenceEntry(
-            n=n, k=k, new_bound=new, old_bound=old, best_known=best,
-            maximal=None if maximal is None else bool(maximal))
-    return entries
+    try:
+        if path is None:
+            text = (resources.files("negaseq") / "data" / "reference_bounds.csv").read_text()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
+                    if ln and not ln.startswith("#")]
+        reader = csv.DictReader(ln for _, ln in numbered)
+        entries: dict[tuple[int, int], ReferenceEntry] = {}
+        for row in reader:
+            line = numbered[reader.line_num - 1][0]
+            n, k, new, old = (_int_cell(row, column, line)
+                              for column in ("n", "k", "new_bound", "old_bound"))
+            best, maximal = (_int_cell(row, column, line, optional=True)
+                             for column in ("best_known", "maximal"))
+            entries[(n, k)] = ReferenceEntry(
+                n=n, k=k, new_bound=new, old_bound=old, best_known=best,
+                maximal=None if maximal is None else bool(maximal))
+        return entries
+    except (OSError, ValueError) as exc:  # OSError: a directory, or unreadable
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Results go to stdout; diagnostics and timing go to stderr so identical
 invocations produce byte-identical result output.  Exit codes: 0 success
 or verified, 1 verification failed / nothing found, 2 usage error,
-3 budget exceeded.
+3 budget exceeded.  `Command.invoke` maps library errors to these codes
+for every subcommand.
 
 Each command imports the modules it runs inside its body, so a cold start
 compiles only those (`classify` and `count` need nothing past `tuples`).
@@ -22,13 +23,13 @@ EXIT_INVALID = 1
 EXIT_BUDGET = 3
 
 FORMATS = click.Choice(["text", "json"])
+# Opened when the options are parsed, so a bad path is a usage error
+# before any work runs.
+OUT_FILE = click.File("w", lazy=False)
 
 
 def _parse_tuple(text: str, k: int) -> tuples_mod.Word:
-    try:
-        return tuples_mod.Word(tuple(int(p) for p in text.split(",")), k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return tuples_mod.Word(tuple(int(p) for p in text.split(",")), k)
 
 
 def _parse_range(text: str) -> range:
@@ -79,21 +80,38 @@ class BudgetOption(click.Option):
 
 
 def _emit(payload, fmt: str, text: str, output=None) -> None:
+    """Write the text, or the payload as one JSON line, to output or stdout."""
     if fmt == "json":
         import json
 
-        rendered = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        rendered = text
-    if output is not None:
-        output.write(rendered)
-    else:
-        click.echo(rendered, nl=False)
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    click.echo(text, nl=False, file=output)
+
+
+class Command(click.Command):
+    """A subcommand whose library errors exit by the contract: ValueError
+    is a usage error (2), a budget error exits 3 and a non-NOS input 1.
+    InternalConsistencyError stays unmapped: its traceback reports a bug."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+        except (GraphSizeError, EnumerationBudgetError) as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(EXIT_BUDGET)
+        except NotAnNosError as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(EXIT_INVALID)
 
 
 @click.group()
 def main():
     """Analyze negative orientable sequences (NOS) over Z_k, k > 2."""
+
+
+main.command_class = Command  # so each subcommand below maps library errors
 
 
 @main.command()
@@ -125,17 +143,10 @@ def classify(k, tuple_text, fmt):
 def count(class_name, n, k, do_enumerate, fmt):
     """Closed-form count of a tuple class."""
     cls = tuples_mod.TupleClass(class_name)
-    try:
-        value = tuples_mod.count_class(cls, n, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value = tuples_mod.count_class(cls, n, k)
     payload = {"class": class_name, "n": n, "k": k, "count": value}
     if do_enumerate:
-        try:
-            enumerated = sum(1 for _ in tuples_mod.enumerate_class(cls, n, k))
-        except EnumerationBudgetError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_BUDGET)
+        enumerated = sum(1 for _ in tuples_mod.enumerate_class(cls, n, k))
         payload["enumerated"] = enumerated
         payload["matches"] = enumerated == value
     text = f"{value}\n"
@@ -170,10 +181,7 @@ def profile(n, k, vertex, fmt):
 
     g = graph_mod.ReducedGraph(n, k)
     w = _parse_tuple(vertex, k)
-    try:
-        p = graph_mod.vertex_profile(g, w)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    p = graph_mod.vertex_profile(g, w)
     payload = {
         "label": str(p.label), "n": n, "k": k,
         "in_degree": p.in_degree, "out_degree": p.out_degree,
@@ -227,10 +235,7 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
     n_range, k_range = _parse_range(n_text), _parse_range(k_text)
     if n_range.start < 2 or k_range.start < 3:
         raise click.UsageError("ranges must satisfy n >= 2 and k >= 3")
-    try:
-        reference = bounds_mod.load_reference_table(reference_csv)
-    except ValueError as exc:
-        raise click.UsageError(f"{reference_csv}: {exc}")
+    reference = bounds_mod.load_reference_table(reference_csv)
     cells = bounds_mod.bound_table(n_range, k_range, reference)
     payload = [{
         "n": c.n, "k": c.k, "bound": c.bound, "regime": c.regime,
@@ -263,10 +268,7 @@ def verify(n, k, seed_file, prop, fmt):
              "nos": verify_mod.is_nos,
              "os": verify_mod.is_os}[prop]
     stream = seed_file if seed_file is not None else sys.stdin
-    try:
-        sequences = list(verify_mod.read_sequences(stream, k))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    sequences = list(verify_mod.read_sequences(stream, k))
     any_invalid = False
     for seq in sequences:
         verdict = check(seq, n)
@@ -302,9 +304,9 @@ def verify(n, k, seed_file, prop, fmt):
               help="Restrict first edges to symmetry-orbit representatives.")
 @click.option("--prune/--no-prune", default=True, show_default=True,
               help="Cut branches that cannot beat the incumbent.")
-@click.option("--certificate", "certificate_path", type=click.File("w"),
+@click.option("--certificate", "certificate_path", type=OUT_FILE,
               default=None, help="Write a replayable certificate here.")
-@click.option("--output", type=click.File("w"), default=None,
+@click.option("--output", type=OUT_FILE, default=None,
               help="Write the result record here instead of stdout.")
 @FORMAT_OPTION
 def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
@@ -316,11 +318,7 @@ def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
                                   time_budget=time_budget,
                                   symmetry_reduction=symmetry,
                                   prune_bound=prune)
-    try:
-        result = search_mod.max_nos_search(cfg)
-    except GraphSizeError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_BUDGET)
+    result = search_mod.max_nos_search(cfg)
     payload = {
         "n": n, "k": k, "period": result.period,
         "optimal": result.optimal,
@@ -348,33 +346,21 @@ def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
 @K_OPTION
 @click.option("--sequence", "sequence_text", default=None,
               help="Export B^-(S,n) for this sequence instead of the full graph.")
-@click.option("--output", type=click.File("w"), default=None,
+@click.option("--output", type=OUT_FILE, default=None,
               help="Write DOT here instead of stdout.")
 def export_dot(n, k, sequence_text, output):
     """DOT export of the reduced graph or one sequence subgraph."""
     from . import graph as graph_mod
 
-    try:
-        if sequence_text is None:
-            text = graph_mod.export_dot(graph_mod.ReducedGraph(n, k))
-        else:
-            from . import verify as verify_mod
-
-            seq = verify_mod.parse_sequence_line(sequence_text, k)
-            sub = graph_mod.sequence_subgraph(seq, n)
-            text = graph_mod.export_dot(sub, name="nega_sequence_subgraph")
-    except GraphSizeError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_BUDGET)
-    except NotAnNosError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_INVALID)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if output is not None:
-        output.write(text)
+    if sequence_text is None:
+        text = graph_mod.export_dot(graph_mod.ReducedGraph(n, k))
     else:
-        click.echo(text, nl=False)
+        from . import verify as verify_mod
+
+        seq = verify_mod.parse_sequence_line(sequence_text, k)
+        sub = graph_mod.sequence_subgraph(seq, n)
+        text = graph_mod.export_dot(sub, name="nega_sequence_subgraph")
+    click.echo(text, nl=False, file=output)
 
 
 if __name__ == "__main__":

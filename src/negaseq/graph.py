@@ -39,11 +39,7 @@ def edge_count_formula(n: int, k: int) -> int:
     """Number of non-negasymmetric n-tuples: k^n minus the negasymmetric count."""
     if n < 2 or k < 3:
         raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
-    if n % 2 == 1 and k % 2 == 1:
-        return k**n - k ** ((n - 1) // 2)
-    if n % 2 == 1:
-        return k**n - 2 * k ** ((n - 1) // 2)
-    return k**n - k ** (n // 2)
+    return k**n - count_class(TupleClass.NEGASYMMETRIC, n, k)
 
 
 class ReducedGraph:

@@ -8,8 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from negaseq.cli import main
+from negaseq.tuples import TupleClass
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text())
@@ -74,6 +76,60 @@ class TestUsageErrors:
         result = runner.invoke(main, ["search", "--n", "3", "--k", "3", option, value])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
+
+
+class TestExitContract:
+    """Library errors map to the README's 0/1/2/3 exit codes."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["count", "--class", "uniform", "--n", "12", "--k", "9", "--enumerate"],
+         3, "k^n = 282429536481 exceeds the enumeration budget of 10000000\n"),
+        (["search", "--n", "30", "--k", "3"],
+         3, "k^n = 205891132094649 exceeds the search bitmap budget of 16777216\n"),
+        (["export-dot", "--n", "9", "--k", "5"],
+         3, "1952500 edges exceed the DOT export budget of 100000\n"),
+        (["export-dot", "--n", "2", "--k", "3", "--sequence", "0,1,2"],
+         1, "window -S^R[0] duplicates S[1]: not an order-2 NOS\n"),
+    ], ids=["count-enumerate", "search", "export-dot", "export-dot-not-nos"])
+    def test_library_error_exit_code_and_message(self, runner, args, code, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr == message
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter prints integers of any size")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["edges", "bound"])
+    def test_value_too_large_to_print_is_usage_error(self, runner, command, fmt):
+        result = runner.invoke(main, [command, "--n", "5000", "--k", "9",
+                                      "--format", fmt])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert f"Usage: main {command}" in result.output
+
+    def test_reference_csv_directory_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["table", "--n", "2..3", "--k", "3..4",
+                                      "--reference-csv", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"Error: {tmp_path}: " in result.output
+        help_text = runner.invoke(main, ["table", "--help"]).output
+        assert hashlib.sha256(help_text.encode()).hexdigest() == HELP_SHA256["table"]
+
+    @pytest.mark.parametrize("args, option", [
+        (["search", "--n", "3", "--k", "3", "--certificate"], "--certificate"),
+        (["search", "--n", "3", "--k", "3", "--output"], "--output"),
+        (["export-dot", "--n", "3", "--k", "3", "--output"], "--output"),
+    ], ids=["search-certificate", "search-output", "export-dot-output"])
+    def test_bad_output_path_fails_before_any_work(self, runner, tmp_path,
+                                                    args, option):
+        result = runner.invoke(main, args + [str(tmp_path / "missing" / "out")])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Invalid value for '{option}'" in result.output
+        assert "elapsed" not in result.output
 
 
 def test_cli_import_loads_no_numpy():
@@ -409,3 +465,58 @@ class TestExportDot:
         result = runner.invoke(
             main, ["export-dot", "--n", "2", "--k", "3", "--sequence", "0,0,1"])
         assert result.exit_code == 1
+
+
+# -- fuzz: every subcommand keeps the exit-code contract ------------------
+
+GARBAGE = st.sampled_from(["", " ", "x", "-", "1.5", "0x3", "3e1", "1,,2",
+                           "2..", "..", "..3", "3..x", "\u0663"])
+SMALL_N = st.one_of(st.integers(-1, 5).map(str), GARBAGE)
+SMALL_K = st.one_of(st.integers(0, 7).map(str), GARBAGE)
+SYMBOLS = st.one_of(st.lists(st.integers(-1, 8), max_size=7).map(
+    lambda xs: ",".join(map(str, xs))), GARBAGE)
+RANGE = st.one_of(st.tuples(st.integers(0, 6), st.integers(0, 8)).map(
+    lambda ab: f"{ab[0]}..{ab[1]}"), st.integers(0, 6).map(str), GARBAGE)
+CLASS = st.one_of(st.sampled_from([c.value for c in TupleClass]), GARBAGE)
+FORMAT = st.sampled_from(["text", "json"])
+
+
+@st.composite
+def invocations(draw):
+    """(args, stdin) for one run of a random subcommand on small inputs."""
+    command = draw(st.sampled_from(["classify", "count", "edges", "profile",
+                                    "bound", "table", "verify", "search",
+                                    "export-dot"]))
+    if command == "table":
+        args = ["--n", draw(RANGE), "--k", draw(RANGE)]
+        args += draw(st.sampled_from([[], ["--check-reference"]]))
+    elif command == "classify":
+        args = ["--k", draw(SMALL_K), "--tuple", draw(SYMBOLS)]
+    else:
+        args = ["--n", draw(SMALL_N), "--k", draw(SMALL_K)]
+    if command == "count":
+        args += ["--class", draw(CLASS)]
+        args += draw(st.sampled_from([[], ["--enumerate"]]))
+    elif command == "profile":
+        args += ["--vertex", draw(SYMBOLS)]
+    elif command == "search":
+        args += ["--budget", str(draw(st.integers(-1, 1000)))]
+    elif command == "export-dot":
+        args += draw(st.one_of(st.just([]), SYMBOLS.map(lambda s: ["--sequence", s])))
+    elif command == "verify":
+        args += ["--property", draw(st.sampled_from(["window", "nos", "os"]))]
+    if command != "export-dot":
+        args += ["--format", draw(FORMAT)]
+    stdin = "".join(line + "\n" for line in draw(st.lists(SYMBOLS, max_size=3)))
+    return [command] + args, stdin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invocations())
+def test_fuzz_exit_codes_follow_the_contract(invocation):
+    args, stdin = invocation
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, repr(result.exception))
+    assert "Traceback" not in result.output
