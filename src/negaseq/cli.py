@@ -12,6 +12,7 @@ compiles only those (`classify` and `count` need nothing past `tuples`).
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -45,6 +46,17 @@ def _parse_range(text: str) -> range:
     if hi < lo:
         raise click.UsageError(f"empty range {text!r}; expected a..b with a <= b")
     return range(lo, hi + 1)
+
+
+def _require_printable(n: int, k: int) -> None:
+    """Refuse, before any arithmetic, an (n, k) whose edge count or bound
+    (each at least k^n/4) has more digits than the interpreter prints."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and n * math.log10(k) >= limit + 2:
+        raise ValueError(f"--n {n} with --k {k} gives a value of about "
+                         f"{int(n * math.log10(k))} digits, over this "
+                         f"interpreter's limit of {limit} digits for printing "
+                         "an integer")
 
 
 class KParam(click.IntRange):
@@ -163,6 +175,7 @@ def edges(n, k, fmt):
     """Edge count of the reduced de Bruijn graph."""
     from . import graph as graph_mod
 
+    _require_printable(n, k)
     value = graph_mod.edge_count_formula(n, k)
     payload = {"n": n, "k": k, "edges": value,
                "vertices": k ** (n - 1)}
@@ -205,6 +218,7 @@ def bound(n, k, fmt):
     """New period upper bound for an order-n NOS over Z_k."""
     from . import bounds as bounds_mod
 
+    _require_printable(n, k)
     b = bounds_mod.nos_bound(n, k)
     d = b.breakdown
     payload = {
@@ -235,6 +249,7 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
     n_range, k_range = _parse_range(n_text), _parse_range(k_text)
     if n_range.start < 2 or k_range.start < 3:
         raise click.UsageError("ranges must satisfy n >= 2 and k >= 3")
+    _require_printable(n_range[-1], k_range[-1])
     reference = bounds_mod.load_reference_table(reference_csv)
     cells = bounds_mod.bound_table(n_range, k_range, reference)
     payload = [{

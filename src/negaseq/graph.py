@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import GraphSizeError, NotAnNosError
@@ -172,28 +173,34 @@ class SequenceSubgraph:
 def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     """Build B^-(S, n) from one period of S.
 
-    O(m) expected: the edge codes of both S and -S^R come from rolling
-    window codes.  Raises NotAnNosError on the first duplicate edge, S
-    before -S^R, naming the colliding windows: a duplicate certifies that S
-    is not an NOS of order n.
+    O(m) expected: the edge codes of S and -S^R are rolling window codes,
+    mapped to their origins by one dict.  Fewer than 2m keys means a
+    repeated edge; a scan in order then raises NotAnNosError on the first
+    one, S before -S^R, naming the colliding windows: a duplicate
+    certifies that S is not an NOS of order n.
     """
     norm = seq.normalized()
-    k = norm.k
-    origin: dict[int, tuple[str, int]] = {}
-    for stream_name, stream in (("S", norm), ("-S^R", norm.nega_reverse())):
-        for i, code in enumerate(window_codes(stream.symbols, n, k)):
-            if code in origin:
-                raise NotAnNosError(
-                    f"window {stream_name}[{i}] duplicates "
-                    f"{origin[code][0]}[{origin[code][1]}]: "
-                    f"not an order-{n} NOS",
-                    first=origin[code], second=(stream_name, i))
-            origin[code] = (stream_name, i)
+    k, m = norm.k, len(norm)
+    codes_s = window_codes(norm.symbols, n, k)
+    codes_r = window_codes(norm.nega_reverse().symbols, n, k)
+    origin = dict(zip(chain(codes_s, codes_r),
+                      chain(zip(repeat("S"), range(m)), zip(repeat("-S^R"), range(m)))))
+    if len(origin) < 2 * m:  # a repeated edge: name the first one
+        origin = {}
+        for name, codes in (("S", codes_s), ("-S^R", codes_r)):
+            for i, code in enumerate(codes):
+                if code in origin:
+                    raise NotAnNosError(
+                        f"window {name}[{i}] duplicates "
+                        f"{origin[code][0]}[{origin[code][1]}]: "
+                        f"not an order-{n} NOS",
+                        first=origin[code], second=(name, i))
+                origin[code] = (name, i)
     num_vertices = k ** (n - 1)
     return SequenceSubgraph(
         n=n, k=k, edge_codes=set(origin),
-        in_degree=Counter(c % num_vertices for c in origin),
-        out_degree=Counter(c // k for c in origin),
+        in_degree=Counter([c % num_vertices for c in origin]),
+        out_degree=Counter([c // k for c in origin]),
         edge_origin=origin)
 
 
@@ -233,15 +240,19 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
         if count > edge_budget:
             raise GraphSizeError(
                 f"{count} {what} exceed the DOT export budget of {edge_budget}")
-    edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
     k = g.k
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
     names = []  # each vertex name decoded once; edges index into it
+    skip = []  # code of v.x with v right-sns and x = -v_0 (negasymmetric), else v*k+k
     for vcode in range(g.num_vertices):
         word = g.vertex_word(vcode)
+        flags = structural_flags(word)
         names.append(sep.join(map(str, word.symbols)))
-        lines.append(f'  "{names[-1]}" [{_vertex_attrs(structural_flags(word))}];')
+        lines.append(f'  "{names[-1]}" [{_vertex_attrs(flags)}];')
+        skip.append(vcode * k + (-word.symbols[0] % k if flags["right_sns"] else k))
+    edge_codes = sorted(graph.edge_codes) if graph is not g else (
+        e for v, bad in enumerate(skip) for e in range(v * k, v * k + k) if e != bad)
     for ecode in edge_codes:
         tail = names[ecode // k]  # an edge's label is its tail plus one symbol
         lines.append(f'  "{tail}" -> "{names[ecode % g.num_vertices]}" '

@@ -25,7 +25,9 @@ Optionally, a branch is cut when the walk can never close: it has left
 its start vertex and every in-edge of that vertex is used or blocked by
 a used partner.  A count of those unused in-edges is kept as edges are
 taken and released.  The whole search stops once the incumbent meets the
-proven period upper bound (no longer walk can exist).
+proven period upper bound (no longer walk can exist), or once a budget
+runs out: the expansion count is tested inline after every expansion and
+the wall clock after every 4096th.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     the nega-reverse map and unit symbol multiplication.
 
     All three generators preserve the NOS property, so the orbit is a
-    legitimate symmetry class for deduplication.
+    legitimate symmetry class for deduplication.  The unit images of -S^R
+    are those of the plain reverse S^R, since u*(-S^R) = (-u)*S^R and -u
+    is a unit, so S and S^R are mapped through one table per unit.
 
     The least rotation of a variant starts at its smallest symbol, so only
     those rotations are compared, and a variant whose smallest symbol is
@@ -92,10 +96,11 @@ def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     """
     best: Optional[tuple[int, ...]] = None
     k = seq.k
-    for variant in (seq.symbols, seq.nega_reverse().symbols):
-        m = len(variant)
-        for u in units(k):
-            mapped = tuple(map([u * s % k for s in range(k)].__getitem__, variant))
+    m = len(seq.symbols)
+    scales = [[u * s % k for s in range(k)].__getitem__ for u in units(k)]
+    for variant in (seq.symbols, seq.symbols[::-1]):
+        for scale in scales:
+            mapped = tuple(map(scale, variant))
             low = min(mapped)
             if best is not None and low > best[0]:
                 continue
@@ -127,7 +132,7 @@ def _orbit_minimal(e: int, partner_e: int, n: int, k: int, us: list[int]) -> boo
 
 def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
     shift = k ** (n - 1)
-    return PeriodicSequence(tuple(e // shift for e in walk), k)
+    return PeriodicSequence(tuple([e // shift for e in walk]), k)
 
 
 def max_nos_search(cfg: SearchConfig) -> SearchResult:
@@ -156,13 +161,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     expansions = 0
     aborted = False
     prune = cfg.prune_bound
-
-    def out_of_budget() -> bool:
-        if expansions >= cfg.node_budget:
-            return True
-        if cfg.time_budget is not None and expansions % 4096 == 0:
-            return time.monotonic() - started > cfg.time_budget
-        return False
+    node_budget, time_budget = cfg.node_budget, cfg.time_budget
 
     def record(walk: list[int]) -> None:
         nonlocal best_len, best_seq
@@ -197,17 +196,15 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             if e >= 0:  # take e and its partner
                 walk.append(e)
                 ptr.append(0)
-                for c in (e, partner[e]):
-                    used[c] = 1
-                    if c % num_vertices == start:
-                        start_in -= 1
+                p = partner[e]
+                used[e] = used[p] = 1
+                start_in -= (e % num_vertices == start) + (p % num_vertices == start)
             else:  # release the last edge and its partner
                 e = walk.pop()
                 ptr.pop()
-                for c in (e, partner[e]):
-                    used[c] = 0
-                    if c % num_vertices == start:
-                        start_in += 1
+                p = partner[e]
+                used[e] = used[p] = 0
+                start_in += (e % num_vertices == start) + (p % num_vertices == start)
                 if not walk:
                     break
             depth = len(walk)
@@ -233,7 +230,9 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             if e >= 0:
                 ptr[d] = x
                 expansions += 1
-                if out_of_budget():
+                if expansions >= node_budget or (
+                        time_budget is not None and expansions % 4096 == 0
+                        and time.monotonic() - started > time_budget):
                     aborted = True
                     ptr[:] = [k] * depth  # unwind the whole walk
                     e = -1

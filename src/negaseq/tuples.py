@@ -151,14 +151,9 @@ def window_codes(symbols: tuple[int, ...], n: int, k: int) -> list[int]:
     """
     m = len(symbols)
     ext = symbols * -(-(m + n - 1) // m)  # long enough for the last window
-    code = encode(ext[:n], k)
+    code = encode(ext[:n - 1], k)  # below high: the first step keeps it whole
     high = k ** (n - 1)
-    codes = [code]
-    append = codes.append
-    for s in ext[n:m + n - 1]:
-        code = code % high * k + s
-        append(code)
-    return codes
+    return [code := code % high * k + s for s in ext[n - 1:m + n - 1]]
 
 
 def nega_reverse_code(code: int, n: int, k: int) -> int:

@@ -109,6 +109,34 @@ class TestExitContract:
         assert result.stdout == ""
         assert f"Usage: main {command}" in result.output
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints integers of any size")
+    @pytest.mark.parametrize("args, n, k", [
+        (["edges", "--n", "10000000", "--k", "9"], 10000000, 9),
+        (["bound", "--n", "5000", "--k", "9", "--format", "json"], 5000, 9),
+        (["table", "--n", "2..5000", "--k", "3..9"], 5000, 9),
+    ], ids=["edges", "bound", "table"])
+    def test_too_large_to_print_names_options_and_limit(self, runner, args, n, k):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the digit limit is switched off")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: --n {n} with --k {k} gives a value of about " in result.output
+        assert f"over this interpreter's limit of {limit} digits" in result.output
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints integers of any size")
+    @pytest.mark.parametrize("command", ["edges", "bound"])
+    def test_value_at_the_digit_limit_still_prints(self, runner, command):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the digit limit is switched off")
+        result = runner.invoke(main, [command, "--n", str(limit), "--k", "10"])
+        assert result.exit_code == 0
+        assert len(result.stdout) == limit + 1  # all digits and a newline
+
     def test_reference_csv_directory_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["table", "--n", "2..3", "--k", "3..4",
                                       "--reference-csv", str(tmp_path)])

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from negaseq.graph import (
     sequence_subgraph,
     vertex_profile,
 )
-from negaseq.tuples import Word, decode
+from negaseq.tuples import Word, decode, window_codes
 from negaseq.verify import PeriodicSequence
 
 SMALL = [(n, k) for n in (2, 3, 4, 5) for k in (3, 4, 5, 6)]
@@ -143,6 +144,37 @@ class TestSequenceSubgraph:
             assert (err.value.first, err.value.second) == (first, second)
             assert str(err.value) == (f"window {second[0]}[{second[1]}] duplicates "
                                       f"{first[0]}[{first[1]}]: not an order-2 NOS")
+
+    @pytest.mark.parametrize("symbols,k,n,first,second", [
+        # a duplicate within S
+        ((0, 1, 3, 2, 0, 1), 4, 2, ("S", 0), ("S", 4)),
+        ((1, 0, 2, 2, 0, 1, 1, 2, 2, 0, 1, 3, 3), 4, 3, ("S", 2), ("S", 7)),
+        # across the streams: a window equal to its own nega-reverse
+        ((0, 0, 1, 0, 2, 1, 1, 2), 3, 3, ("S", 2), ("-S^R", 3)),
+        ((0, 0, 1, 1, 2, 0, 2, 1) * 3, 3, 2, ("S", 6), ("-S^R", 0)),
+        # across the streams: the nega-reverse of another window
+        ((0, 1, 2, 3, 4, 0, 4, 3), 5, 3, ("S", 0), ("-S^R", 2)),
+    ])
+    def test_first_duplicate_pinned(self, symbols, k, n, first, second):
+        """Recorded from the ordered one-window-at-a-time scan."""
+        with pytest.raises(NotAnNosError) as err:
+            sequence_subgraph(PeriodicSequence(symbols, k), n)
+        assert (err.value.first, err.value.second) == (first, second)
+        assert str(err.value) == (f"window {second[0]}[{second[1]}] duplicates "
+                                  f"{first[0]}[{first[1]}]: not an order-{n} NOS")
+
+    def test_no_duplicate_within_nega_reverse_alone(self):
+        # Window t of -S^R is the nega-reverse of a window of S, a
+        # bijection, so -S^R repeats a window only when S does and the
+        # first duplicate is never a pair inside -S^R.
+        rng = random.Random(3)
+        for _ in range(300):
+            k, n = rng.choice([3, 4, 5]), rng.choice([2, 3, 4])
+            s = PeriodicSequence(tuple(rng.choices(range(k), k=rng.randint(1, 20))), k)
+            s = s.normalized()
+            codes = window_codes(s.symbols, n, k)
+            image = window_codes(s.nega_reverse().symbols, n, k)
+            assert (len(set(image)) == len(image)) == (len(set(codes)) == len(codes))
 
     def test_normalizes_first(self):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1, 0, 1, 1), 3), 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negaseq import search as search_mod
 from negaseq.errors import GraphSizeError
 from negaseq.search import (
     SearchConfig,
@@ -234,6 +235,24 @@ class TestOutcomeDigest:
         digest = hashlib.sha256("".join(parts).encode()).hexdigest()
         assert digest == ("04888f8e484967381f3de041746ecd32"
                           "2d8fd6aafc18477da68f1b673bfc3b90")
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("n,k,budget,recorded", [
+        (3, 3, 10**9, 20), (3, 4, 20_000, 557)])
+    def test_each_recorded_walk_is_canonicalized_and_verified(
+            self, monkeypatch, n, k, budget, recorded):
+        """One canonicalize and one is_nos call per recorded walk, through
+        the module attributes that tracing hooks; counts recorded from the
+        search whose record step built a nega-reverse per walk."""
+        calls = {"canonicalize": 0, "is_nos": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(search_mod, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(search_mod, name, counted)
+        max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
+        assert calls == {"canonicalize": recorded, "is_nos": recorded}
 
 
 class TestBudgets:

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negaseq.tuples import Word, encode, window_codes
 from negaseq.verify import (
@@ -38,6 +39,16 @@ def random_words(rng, count, max_m=40, max_n=5):
         elif i % 4 == 2:
             n = max(2, len(symbols) + rng.randint(0, 4))
         yield seq(symbols, k), n
+
+
+def minimal_period_loop(s):
+    """The O(m) loop over every p < m that `minimal_period` replaced."""
+    symbols = s.symbols
+    m = len(symbols)
+    for p in range(1, m):
+        if m % p == 0 and symbols[p:] == symbols[:m - p]:
+            return p
+    return m
 
 
 def window_oracle(s, n, prop):
@@ -95,6 +106,26 @@ class TestPeriodicSequence:
         assert minimal_period(seq([0, 1, 1], 3)) == 3
         assert minimal_period(seq([2, 2, 2, 2], 3)) == 1
         assert minimal_period(seq([0, 1, 2, 0, 1], 3)) == 5
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_minimal_period_matches_loop_over_all_periods(self, data):
+        """Prime-factor descent against the loop over every p < m that it
+        replaced, on prime, prime-power and highly composite lengths and on
+        words repeated 2-8 times, some with one symbol changed."""
+        k = data.draw(st.integers(3, 5))
+        length = data.draw(st.sampled_from(
+            [1, 2, 3, 5, 7, 11, 13, 31, 97, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81,
+             125, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360]))
+        base = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                  max_size=length))
+        symbols = (base * (-(-length // len(base))))[:length]
+        symbols *= data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(symbols) - 1))
+            symbols[i] = data.draw(st.integers(0, k - 1))
+        s = seq(symbols, k)
+        assert minimal_period(s) == minimal_period_loop(s), symbols
 
     def test_normalized(self):
         assert seq([0, 1, 0, 1], 3).normalized() == seq([0, 1], 3)
