@@ -6,7 +6,7 @@ Submodules:
 * graph   -- the reduced de Bruijn graph and per-sequence subgraphs
 * verify  -- window-sequence / NOS / OS verdicts with failure witnesses
 * bounds  -- period upper bounds and reference-table regression
-* search  -- exhaustive symmetry-reduced search for maximum-period NOS
+* search  -- exhaustive search for maximum-period NOS
 * cli     -- command-line front end
 
 The names in `__all__` are loaded from their submodule on first access

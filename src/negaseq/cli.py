@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -48,15 +49,30 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _too_long(n: int, k: int, limit: int) -> ValueError:
+    return ValueError(f"--n {n} with --k {k} gives a value of about "
+                      f"{int(n * math.log10(k))} digits, over this "
+                      f"interpreter's limit of {limit} digits for printing "
+                      "an integer")
+
+
 def _require_printable(n: int, k: int) -> None:
     """Refuse, before any arithmetic, an (n, k) whose edge count or bound
     (each at least k^n/4) has more digits than the interpreter prints."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if limit and n * math.log10(k) >= limit + 2:
-        raise ValueError(f"--n {n} with --k {k} gives a value of about "
-                         f"{int(n * math.log10(k))} digits, over this "
-                         f"interpreter's limit of {limit} digits for printing "
-                         "an integer")
+        raise _too_long(n, k, limit)
+
+
+@contextmanager
+def _printing(n: int, k: int):
+    """Word the interpreter's refusal to print a too-long integer (the band
+    the estimate above lets through) like `_require_printable`.  Wrap only
+    the printing: any ValueError raised there is that refusal."""
+    try:
+        yield
+    except ValueError:
+        raise _too_long(n, k, sys.get_int_max_str_digits()) from None
 
 
 class KParam(click.IntRange):
@@ -179,7 +195,8 @@ def edges(n, k, fmt):
     value = graph_mod.edge_count_formula(n, k)
     payload = {"n": n, "k": k, "edges": value,
                "vertices": k ** (n - 1)}
-    _emit(payload, fmt, f"{value}\n")
+    with _printing(n, k):
+        _emit(payload, fmt, f"{value}\n")
 
 
 @main.command()
@@ -231,7 +248,8 @@ def bound(n, k, fmt):
             "edge_cap": d.resulting_edge_cap,
         },
     }
-    _emit(payload, fmt, f"{b.value}\n")
+    with _printing(n, k):
+        _emit(payload, fmt, f"{b.value}\n")
 
 
 @main.command()
@@ -256,8 +274,9 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
         "n": c.n, "k": c.k, "bound": c.bound, "regime": c.regime,
         "reference": c.reference, "matches_reference": c.matches_reference,
     } for c in cells]
-    text = bounds_mod.format_table(cells, flag_mismatches=check_reference)
-    _emit(payload, fmt, text)
+    with _printing(n_range[-1], k_range[-1]):
+        text = bounds_mod.format_table(cells, flag_mismatches=check_reference)
+        _emit(payload, fmt, text)
     if check_reference:
         mismatched = [c for c in cells if c.matches_reference is False]
         if mismatched:
@@ -315,24 +334,17 @@ def verify(n, k, seed_file, prop, fmt):
               show_default=True, help="Maximum search-tree expansions.")
 @click.option("--time-budget", type=click.FloatRange(min=0, min_open=True),
               default=None, help="Wall-clock cap in seconds.")
-@click.option("--symmetry/--no-symmetry", default=True, show_default=True,
-              help="Restrict first edges to symmetry-orbit representatives.")
-@click.option("--prune/--no-prune", default=True, show_default=True,
-              help="Cut branches that cannot beat the incumbent.")
 @click.option("--certificate", "certificate_path", type=OUT_FILE,
               default=None, help="Write a replayable certificate here.")
 @click.option("--output", type=OUT_FILE, default=None,
               help="Write the result record here instead of stdout.")
 @FORMAT_OPTION
-def search(n, k, budget, time_budget, symmetry, prune, certificate_path,
-           output, fmt):
+def search(n, k, budget, time_budget, certificate_path, output, fmt):
     """Exhaustive (or budgeted) search for a maximum-period NOS."""
     from . import search as search_mod
 
     cfg = search_mod.SearchConfig(n=n, k=k, node_budget=budget,
-                                  time_budget=time_budget,
-                                  symmetry_reduction=symmetry,
-                                  prune_bound=prune)
+                                  time_budget=time_budget)
     result = search_mod.max_nos_search(cfg)
     payload = {
         "n": n, "k": k, "period": result.period,

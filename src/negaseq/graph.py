@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import GraphSizeError, NotAnNosError
@@ -174,20 +174,24 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     """Build B^-(S, n) from one period of S.
 
     O(m) expected: the edge codes of S and -S^R are rolling window codes,
-    mapped to their origins by one dict.  Fewer than 2m keys means a
-    repeated edge; a scan in order then raises NotAnNosError on the first
-    one, S before -S^R, naming the colliding windows: a duplicate
+    mapped to their origins by one dict; those of -S^R are computed only
+    once S's m codes are known to be distinct.  Fewer keys than windows
+    means a repeated edge; a scan in order then raises NotAnNosError on the
+    first one, S before -S^R, naming the colliding windows: a duplicate
     certifies that S is not an NOS of order n.
     """
     norm = seq.normalized()
     k, m = norm.k, len(norm)
     codes_s = window_codes(norm.symbols, n, k)
-    codes_r = window_codes(norm.nega_reverse().symbols, n, k)
-    origin = dict(zip(chain(codes_s, codes_r),
-                      chain(zip(repeat("S"), range(m)), zip(repeat("-S^R"), range(m)))))
+    origin = dict(zip(codes_s, zip(repeat("S"), range(m))))
+    streams = [("S", codes_s)]
+    if len(origin) == m:
+        codes_r = window_codes(norm.nega_reverse().symbols, n, k)
+        origin.update(zip(codes_r, zip(repeat("-S^R"), range(m))))
+        streams.append(("-S^R", codes_r))
     if len(origin) < 2 * m:  # a repeated edge: name the first one
         origin = {}
-        for name, codes in (("S", codes_s), ("-S^R", codes_r)):
+        for name, codes in streams:
             for i, code in enumerate(codes):
                 if code in origin:
                     raise NotAnNosError(

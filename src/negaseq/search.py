@@ -5,26 +5,17 @@ graph that use at most one edge from each pair {e, -e^R}; every such
 closed walk of length m reads off an NOS of period m, and conversely.
 The walk is explored depth-first over an explicit used-edge bitmap.
 
-Two reductions keep the exhaustive cases tractable without losing any
-maximum-length walk:
+Every closed walk is generated only from the rotation that starts at its
+smallest edge code: each unused code in turn is a first edge, and later
+edges must exceed it.  The only per-code table set-up builds is the
+partner map e -> -e^R, one numpy pass read in place.  The used-edge
+bitmap starts with the negasymmetric codes (the non-edges) set, and they
+stay set.
 
-* rotation canonicalization: every closed walk is generated only from the
-  rotation starting at its smallest edge code, so later edges must exceed
-  the first one;
-* alphabet symmetry: the maps x -> u*x (u a unit of Z_k) and e -> -e^R
-  send valid walks to valid walks of the same length, so the first edge
-  can be restricted to codes minimal within their orbit under that group.
-  Each code is tested for orbit minimality only when the first-edge loop
-  reaches it, so a budgeted run pays for the few codes it starts from.
-
-The only per-code table set-up builds is the partner map e -> -e^R, one
-numpy pass read in place.  The used-edge bitmap starts with the
-negasymmetric codes (the non-edges) set, and they stay set.
-
-Optionally, a branch is cut when the walk can never close: it has left
-its start vertex and every in-edge of that vertex is used or blocked by
-a used partner.  A count of those unused in-edges is kept as edges are
-taken and released.  The whole search stops once the incumbent meets the
+A branch is cut when the walk can never close: it has left its start
+vertex and every in-edge of that vertex is used or blocked by a used
+partner.  A count of those unused in-edges is kept as edges are taken
+and released.  The whole search stops once the incumbent meets the
 proven period upper bound (no longer walk can exist), or once a budget
 runs out: the expansion count is tested inline after every expansion and
 the wall clock after every 4096th.
@@ -41,7 +32,7 @@ from typing import Optional
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import decode, partner_codes
+from .tuples import partner_codes
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -54,8 +45,6 @@ class SearchConfig:
     k: int
     node_budget: int = DEFAULT_NODE_BUDGET
     time_budget: Optional[float] = None  # seconds of wall clock
-    symmetry_reduction: bool = True
-    prune_bound: bool = True
 
     def __post_init__(self):
         if self.n < 2 or self.k < 3:
@@ -115,21 +104,6 @@ def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     return PeriodicSequence(best, k)
 
 
-def _orbit_minimal(e: int, partner_e: int, n: int, k: int, us: list[int]) -> bool:
-    """True iff e is the least code in its orbit {u(e), u(-e^R) : u in us}.
-
-    Codes order like their digit tuples, so images are compared as tuples;
-    the test stops at the first image below e.
-    """
-    word = decode(e, n, k)
-    partner_word = decode(partner_e, n, k)
-    for u in us:
-        scale = [u * s % k for s in range(k)].__getitem__
-        if tuple(map(scale, word)) < word or tuple(map(scale, partner_word)) < word:
-            return False
-    return True
-
-
 def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
     shift = k ** (n - 1)
     return PeriodicSequence(tuple([e // shift for e in walk]), k)
@@ -153,14 +127,12 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     partner = memoryview(partner_arr)  # zero-copy; items are Python ints
     # Negasymmetric codes are no edges: they start used and stay used.
     used = bytearray((~is_edge).tobytes())
-    symmetry, us = cfg.symmetry_reduction, units(k)
     num_vertices = k ** (n - 1)
 
     best_len = 0
     best_seq: Optional[PeriodicSequence] = None
     expansions = 0
     aborted = False
-    prune = cfg.prune_bound
     node_budget, time_budget = cfg.node_budget, cfg.time_budget
 
     def record(walk: list[int]) -> None:
@@ -179,12 +151,10 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                             and seq.symbols < best_seq.symbols):
             best_len, best_seq = m, seq
 
-    # First edges are tested as the loop reaches them, so a budgeted run
-    # pays only for the codes it actually starts from.
     for e0 in range(num_codes):
         if best_len >= bound or aborted:
             break
-        if used[e0] or (symmetry and not _orbit_minimal(e0, partner[e0], n, k, us)):
+        if used[e0]:
             continue
         start = e0 // k
         # Unused in-edges of start: once none is left, the walk cannot close.
@@ -217,7 +187,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                     if best_len >= bound:
                         ptr[:] = [k] * depth  # unwind the whole walk
                         x = k
-                if prune and x == 0 and v != start and start_in == 0:
+                if x == 0 and v != start and start_in == 0:
                     x = k  # the walk can never close again
             base = v * k
             e = -1
@@ -275,8 +245,6 @@ def certify(result: SearchResult) -> str:
         f"expansions={result.expansions}",
         f"node_budget={cfg.node_budget}",
         f"time_budget={cfg.time_budget if cfg.time_budget is not None else 'none'}",
-        f"symmetry_reduction={'true' if cfg.symmetry_reduction else 'false'}",
-        f"prune_bound={'true' if cfg.prune_bound else 'false'}",
         f"graph_edges_sha256={graph_content_hash(cfg.n, cfg.k)}",
     ]
     return "\n".join(lines) + "\n"

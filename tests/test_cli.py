@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from negaseq.cli import main
 from negaseq.tuples import TupleClass
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
 
 
 @pytest.fixture
@@ -28,7 +30,7 @@ def validate(payload):
 
 def _src_env():
     """Environment for a child interpreter that imports this checkout's src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -128,6 +130,27 @@ class TestExitContract:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter prints integers of any size")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["edges", "bound", "table"])
+    def test_just_past_the_digit_limit_names_options_and_limit(
+            self, runner, command, fmt):
+        # Past the limit by one digit, under the up-front estimate: the
+        # refusal comes from printing, in the same words.
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the digit limit is switched off")
+        n = limit + 1
+        result = runner.invoke(main, [command, "--n", str(n), "--k", "10",
+                                      "--format", fmt])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert (f"Error: --n {n} with --k 10 gives a value of about {n} digits, "
+                f"over this interpreter's limit of {limit} digits") in result.output
+        assert "set_int_max_str_digits" not in result.output
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints integers of any size")
     @pytest.mark.parametrize("command", ["edges", "bound"])
     def test_value_at_the_digit_limit_still_prints(self, runner, command):
         limit = sys.get_int_max_str_digits()
@@ -202,6 +225,7 @@ def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
 
 # SHA-256 of each command's --help as CliRunner renders it, recorded before
 # the commands imported their modules lazily; the text must not change.
+# `search` was re-recorded when its --symmetry and --prune toggles went.
 HELP_SHA256 = {
     "": "3c5ed6193e0ec143d046f3b23f17128fcd37f09c8bb2bf4ada6a5cbc90f0ebcc",
     "classify": "00dce68368d28deeb37d96709caeada700c3e24b8484e5d5f91f3ee3d5988348",
@@ -211,7 +235,7 @@ HELP_SHA256 = {
     "bound": "161540a87615c2478e74a204e18ce10da93a6f60e532a638ea90d779dc72709f",
     "table": "55426b02c1dec4c58ecb9839aef0437d3fb0822c2274b1546b166eb598815422",
     "verify": "736ac08d66d2670d3104eed83fb4dfe26ed80e5df871097e919cba42b357b36f",
-    "search": "6d7e4a2a3aeb371bff587ce5638b21aa99df12496e1c3706d9da79238cc47bf4",
+    "search": "849ddc7cbe848bd0fd537c36fec8698afd108f02c8ed455013cc967b51998e1e",
     "export-dot": "4675154d02f738cc95115e4b676bc5b95e8e61eeb11190a94ab1c19edfd34b4c",
 }
 
@@ -434,6 +458,15 @@ class TestSearch:
         b = runner.invoke(main, args)
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("flag", ["--symmetry", "--no-symmetry",
+                                      "--prune", "--no-prune"])
+    def test_removed_toggles_are_usage_errors(self, runner, flag):
+        result = runner.invoke(main, ["search", "--n", "2", "--k", "3", flag])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "No such option" in result.output and flag in result.output
+        assert "Traceback" not in result.output
+
     def test_budget_exhausted_exits_three(self, runner):
         result = runner.invoke(
             main, ["search", "--n", "3", "--k", "4", "--budget", "2000"])
@@ -455,6 +488,22 @@ class TestSearch:
                    "--output", str(out)])
         assert result.exit_code == 0
         validate(json.loads(out.read_text()))
+
+
+def _readme_cli_lines():
+    """The `negaseq ...` lines of the README's CLI code block."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("negaseq ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(),
+                         ids=lambda line: line.split()[1])
+def test_readme_cli_example_runs(runner, line):
+    with runner.isolated_filesystem():
+        Path("seqs.txt").write_text("0,1,1\n")  # an order-2 NOS over Z_3
+        result = runner.invoke(main, shlex.split(line, comments=True)[1:])
+    assert result.exit_code == 0, result.output
 
 
 class TestExportDot:

@@ -163,6 +163,20 @@ class TestSequenceSubgraph:
         assert str(err.value) == (f"window {second[0]}[{second[1]}] duplicates "
                                   f"{first[0]}[{first[1]}]: not an order-{n} NOS")
 
+    def test_repeat_in_s_stops_before_nega_reverse(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return window_codes(*args)
+
+        monkeypatch.setattr(graph_mod, "window_codes", counted)
+        with pytest.raises(NotAnNosError) as err:
+            sequence_subgraph(PeriodicSequence((0, 0, 0, 1, 2, 0, 0, 0), 3), 3)
+        assert len(calls) == 1
+        assert (err.value.first, err.value.second) == (("S", 0), ("S", 5))
+        assert str(err.value) == "window S[5] duplicates S[0]: not an order-3 NOS"
+
     def test_no_duplicate_within_nega_reverse_alone(self):
         # Window t of -S^R is the nega-reverse of a window of S, a
         # bijection, so -S^R repeats a window only when S does and the
@@ -222,10 +236,10 @@ class TestDotExport:
             export_dot(ReducedGraph(3, 3), edge_budget=5)
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
-        def no_edges(self):
-            raise AssertionError("edges enumerated before the budget check")
+        def no_flags(*args):
+            raise AssertionError("vertices enumerated before the budget check")
 
-        monkeypatch.setattr(ReducedGraph, "edges", no_edges)
+        monkeypatch.setattr(graph_mod, "structural_flags", no_flags)
         with pytest.raises(GraphSizeError, match="exceed the DOT export budget"):
             export_dot(ReducedGraph(12, 4))
 

@@ -1,6 +1,6 @@
 import hashlib
+import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,14 +8,12 @@ from negaseq import search as search_mod
 from negaseq.errors import GraphSizeError
 from negaseq.search import (
     SearchConfig,
-    _orbit_minimal,
     canonicalize,
     certify,
     graph_content_hash,
     max_nos_search,
     units,
 )
-from negaseq.tuples import decode, encode, nega_reverse_code, partner_codes
 from negaseq.verify import PeriodicSequence, is_nos
 
 
@@ -88,44 +86,6 @@ class TestCanonicalize:
         assert canonicalize(seq) == PeriodicSequence(best, k)
 
 
-def _orbit_minimal_mask(partner, n, k):
-    """Vectorised oracle: mask[e] iff e == min over {u(e), u(partner(e))}.
-
-    Builds the image of every code under each unit by Horner's rule,
-    image_u(p*k + d) = image_u(p)*k + (u*d % k).
-    """
-    digits = np.arange(k, dtype=np.int64)
-    us = units(k)
-    images = [np.zeros(1, dtype=np.int64) for _ in us]
-    for _ in range(n):
-        images = [np.add.outer(image * k, digits * u % k).ravel()
-                  for u, image in zip(us, images)]
-    codes = np.arange(k**n, dtype=np.int64)
-    orbit_min = codes.copy()
-    for image in images:
-        np.minimum(orbit_min, image, out=orbit_min)
-        np.minimum(orbit_min, image[partner], out=orbit_min)
-    return codes == orbit_min
-
-
-class TestOrbitMinimalMask:
-    @pytest.mark.parametrize("n,k", [(2, 5), (3, 4), (3, 6), (4, 3), (2, 12)])
-    def test_matches_scalar_orbit_minimum(self, n, k):
-        def scale(u, code):
-            return encode(tuple(u * d % k for d in decode(code, n, k)), k)
-
-        partner = partner_codes(n, k)
-        mask = _orbit_minimal_mask(partner, n, k).tolist()
-        expected = [
-            e == min(min(scale(u, e), scale(u, nega_reverse_code(e, n, k)))
-                     for u in units(k))
-            for e in range(k**n)]
-        assert mask == expected
-        lazy = [_orbit_minimal(e, int(partner[e]), n, k, units(k))
-                for e in range(k**n)]
-        assert lazy == mask
-
-
 class TestExhaustiveSearch:
     def test_order_two_row(self):
         expected = {3: 3, 4: 5, 5: 10, 6: 14, 7: 21, 8: 27}
@@ -142,20 +102,15 @@ class TestExhaustiveSearch:
         assert result.period == 10
         assert result.optimal
 
-    def test_symmetry_toggles_preserve_period(self):
-        for k in (3, 4, 5):
-            baseline = max_nos_search(SearchConfig(n=2, k=k)).period
-            for sym in (True, False):
-                for prune in (True, False):
-                    cfg = SearchConfig(n=2, k=k, symmetry_reduction=sym,
-                                       prune_bound=prune)
-                    assert max_nos_search(cfg).period == baseline, (k, sym, prune)
-
-    def test_symmetry_toggle_order_three(self):
-        with_sym = max_nos_search(SearchConfig(n=3, k=3))
-        without = max_nos_search(SearchConfig(n=3, k=3, symmetry_reduction=False))
-        assert with_sym.period == without.period == 10
-        assert with_sym.expansions <= without.expansions
+    def test_order_three_optimum_against_brute_force(self):
+        """(3,3): the search's 10 is the maximum.  The bound is 11, and no
+        word of length 11 is an NOS.  Symbol 0 occurs in any such word,
+        since {1,2} has only 8 distinct 3-windows, so a rotation starts
+        with it; 11 is prime, so a valid word has period 11."""
+        result = max_nos_search(SearchConfig(n=3, k=3))
+        assert (result.period, result.optimal, result.bound) == (10, True, 11)
+        for rest in itertools.product(range(3), repeat=10):
+            assert not is_nos(PeriodicSequence((0,) + rest, 3), 3).valid, rest
 
     def test_deterministic(self):
         a = max_nos_search(SearchConfig(n=3, k=3))
@@ -173,7 +128,7 @@ class TestPinnedOutcomes:
     """
 
     @pytest.mark.parametrize("n,k,period,expansions",
-                             [(3, 3, 10, 493), (2, 11, 55, 63), (2, 16, 119, 160),
+                             [(3, 3, 10, 911), (2, 11, 55, 63), (2, 16, 119, 160),
                               (2, 20, 189, 246), (2, 24, 275, 350)])
     def test_exhaustive_cells(self, n, k, period, expansions):
         result = max_nos_search(SearchConfig(n=n, k=k))
@@ -197,22 +152,14 @@ class TestPinnedOutcomes:
         assert result.period == sequence.count(",") + 1
         assert str(result.best_sequence) == sequence
 
-    def test_toggles_reach_optimum_order_three(self):
-        for sym in (True, False):
-            for prune in (True, False):
-                cfg = SearchConfig(n=3, k=3, symmetry_reduction=sym,
-                                   prune_bound=prune)
-                result = max_nos_search(cfg)
-                assert (result.period, result.optimal) == (10, True), (sym, prune)
-
 
 class TestOutcomeDigest:
-    """One SHA-256 over the outcomes and certificates of 104 searches.
+    """One SHA-256 over the outcomes and certificates of 26 searches: the
+    n = 2 cells for k = 3..13, (3, 3) and 14 budgeted cells.
 
-    Recorded from the search that precomputed its orbit mask and edge lists:
-    the n = 2 cells for k = 3..13, (3, 3) and 14 budgeted cells, each under
-    the four symmetry/prune toggles.  Without pruning, the n = 2 cells and
-    (3, 3) run under a budget of 5000 expansions.
+    Recorded from the search that first took every unused code as a first
+    edge; periods, flags and sequences equal those of the search before it,
+    which restricted first edges to unit-symmetry orbit minima.
     """
 
     CELLS = [(2, k, None) for k in range(3, 14)] + [(3, 3, None)] + [
@@ -223,28 +170,25 @@ class TestOutcomeDigest:
     def test_outcomes_pinned(self):
         parts = []
         for n, k, budget in self.CELLS:
-            for sym in (True, False):
-                for prune in (True, False):
-                    b = budget or (10**9 if prune else 5000)
-                    r = max_nos_search(SearchConfig(
-                        n=n, k=k, node_budget=b, symmetry_reduction=sym,
-                        prune_bound=prune))
-                    parts.append(f"{n} {k} {b} {sym} {prune} {r.period} "
-                                 f"{r.expansions} {r.optimal} {r.best_sequence}\n")
-                    parts.append(certify(r))
+            b = budget or 10**9
+            r = max_nos_search(SearchConfig(n=n, k=k, node_budget=b))
+            parts.append(f"{n} {k} {b} {r.period} {r.expansions} {r.optimal} "
+                         f"{r.best_sequence}\n")
+            parts.append(certify(r))
         digest = hashlib.sha256("".join(parts).encode()).hexdigest()
-        assert digest == ("04888f8e484967381f3de041746ecd32"
-                          "2d8fd6aafc18477da68f1b673bfc3b90")
+        assert digest == ("3a25de4fdf4933c361451ea8ce797dd5"
+                          "27b8c6ee537e63aebfd00a8dbd1420c4")
 
 
 class TestRecordChecks:
     @pytest.mark.parametrize("n,k,budget,recorded", [
-        (3, 3, 10**9, 20), (3, 4, 20_000, 557)])
+        (3, 3, 10**9, 36), (3, 4, 20_000, 557)])
     def test_each_recorded_walk_is_canonicalized_and_verified(
             self, monkeypatch, n, k, budget, recorded):
         """One canonicalize and one is_nos call per recorded walk, through
         the module attributes that tracing hooks; counts recorded from the
-        search whose record step built a nega-reverse per walk."""
+        search whose record step built a nega-reverse per walk, (3, 3)
+        again once every unused code became a first edge."""
         calls = {"canonicalize": 0, "is_nos": 0}
         for name in calls:
             def counted(*args, _name=name, _inner=getattr(search_mod, name)):
