@@ -102,6 +102,31 @@ class TestExhaustiveSearch:
         assert result.period == 10
         assert result.optimal
 
+    @staticmethod
+    def _assert_symmetry_images_are_nos(seq, n, k):
+        """Each unit image of S and of -S^R is an NOS of S's period with S's
+        canonical form: the symmetry that lets one search path stand for
+        the whole orbit, as the deleted first-edge restriction assumed."""
+        rep = canonicalize(seq)
+        for variant in (seq, seq.nega_reverse()):
+            for u in units(k):
+                image = PeriodicSequence(
+                    tuple(u * s % k for s in variant.symbols), k)
+                v = is_nos(image, n)
+                assert v.valid and v.period == len(seq), (u, image)
+                assert canonicalize(image) == rep, (u, image)
+
+    def test_symmetry_toggles_preserve_period(self):
+        for k in (3, 4, 5):
+            result = max_nos_search(SearchConfig(n=2, k=k))
+            assert result.optimal, k
+            self._assert_symmetry_images_are_nos(result.best_sequence, 2, k)
+
+    def test_symmetry_toggle_order_three(self):
+        result = max_nos_search(SearchConfig(n=3, k=3))
+        assert (result.period, result.optimal) == (10, True)
+        self._assert_symmetry_images_are_nos(result.best_sequence, 3, 3)
+
     def test_order_three_optimum_against_brute_force(self):
         """(3,3): the search's 10 is the maximum.  The bound is 11, and no
         word of length 11 is an NOS.  Symbol 0 occurs in any such word,
@@ -151,6 +176,23 @@ class TestPinnedOutcomes:
         assert not result.optimal
         assert result.period == sequence.count(",") + 1
         assert str(result.best_sequence) == sequence
+
+    def test_toggles_reach_optimum_order_three(self):
+        """The node budget is the search's one remaining knob: any budget
+        above the exhaustive run's expansion count reaches the same
+        certified optimum, and a budget spent on the last expansion keeps
+        the sequence but not the certificate."""
+        full = max_nos_search(SearchConfig(n=3, k=3))
+        assert (full.period, full.optimal) == (10, True)
+        for budget in (full.expansions + 1, 2 * full.expansions, 10**9):
+            result = max_nos_search(SearchConfig(n=3, k=3, node_budget=budget))
+            assert (result.period, result.optimal, result.expansions) == (
+                10, True, full.expansions), budget
+            assert result.best_sequence == full.best_sequence, budget
+        spent = max_nos_search(
+            SearchConfig(n=3, k=3, node_budget=full.expansions))
+        assert (spent.period, spent.optimal) == (10, False)
+        assert spent.best_sequence == full.best_sequence
 
 
 class TestOutcomeDigest:
