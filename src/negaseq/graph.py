@@ -4,8 +4,9 @@ Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
 drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
 Membership is that one rule on single codes; `ReducedGraph.edge_bitmap`
-evaluates it for all codes at once through the shared partner table, a
-second route that backs the edge count and the search's graph hash.
+takes the other route, clearing the bits of the codes
+`negasymmetric_codes` lists, and backs the edge count and the search's
+graph hash.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from .tuples import (
     decode,
     is_negasymmetric_code,
     nega_reverse_code,
-    partner_codes,
+    negasymmetric_codes,
     structural_flags,
     window_codes,
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .verify import PeriodicSequence
 
 DEFAULT_DOT_EDGE_BUDGET = 10**5
@@ -58,20 +57,22 @@ class ReducedGraph:
         self.num_vertices = k ** (n - 1)
         self.num_codes = k**n
 
-    def edge_bitmap(self) -> np.ndarray:
-        """Boolean array over all k^n edge codes, built anew on each call."""
-        import numpy as np
-
-        return np.arange(self.num_codes, dtype=np.int64) != partner_codes(self.n, self.k)
+    def edge_bitmap(self) -> bytes:
+        """One bit per code, MSB first, set iff the code is an edge; the last
+        byte is zero-padded.  Built anew on each call."""
+        pad = -self.num_codes % 8
+        bits = bytearray(b"\xff" * ((self.num_codes + pad) // 8))
+        bits[-1] = 0xFF << pad & 0xFF
+        for e in negasymmetric_codes(self.n, self.k):
+            bits[e >> 3] ^= 0x80 >> (e & 7)
+        return bytes(bits)
 
     def has_edge_code(self, code: int) -> bool:
         return not is_negasymmetric_code(code, self.n, self.k)
 
     def edge_count(self) -> int:
         """Count edges from the bitmap (independent of the formula)."""
-        import numpy as np
-
-        return int(np.count_nonzero(self.edge_bitmap()))
+        return int.from_bytes(self.edge_bitmap(), "big").bit_count()
 
     def edges(self) -> Iterator[int]:
         """Edge codes in increasing (lexicographic) order."""

@@ -7,10 +7,11 @@ The walk is explored depth-first over an explicit used-edge bitmap.
 
 Every closed walk is generated only from the rotation that starts at its
 smallest edge code: each unused code in turn is a first edge, and later
-edges must exceed it.  The only per-code table set-up builds is the
-partner map e -> -e^R, one numpy pass read in place.  The used-edge
-bitmap starts with the negasymmetric codes (the non-edges) set, and they
-stay set.
+edges must exceed it.  The only per-code table is the used-edge bitmap,
+one byte per code; it starts with the negasymmetric codes (the
+non-edges) set, and they stay set.  The partner -e^R of a taken edge is
+read from the two half tables of `partner_halves` and kept on a stack
+until the edge is released.
 
 A branch is cut when the walk can never close: it has left its start
 vertex and every in-edge of that vertex is used or blocked by a used
@@ -32,7 +33,7 @@ from typing import Optional
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import partner_codes
+from .tuples import negasymmetric_codes, partner_halves
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -111,8 +112,6 @@ def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
 
 def max_nos_search(cfg: SearchConfig) -> SearchResult:
     """Depth-first search over pair-disjoint closed walks in B_k^-(n-1)."""
-    import numpy as np
-
     n, k = cfg.n, cfg.k
     num_codes = k**n
     if num_codes > MAX_CODES:
@@ -122,11 +121,11 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     started = time.monotonic()
     bound = nos_bound(n, k).value
 
-    partner_arr = partner_codes(n, k)
-    is_edge = np.arange(num_codes, dtype=np.int64) != partner_arr
-    partner = memoryview(partner_arr)  # zero-copy; items are Python ints
+    K, low, high = partner_halves(n, k)
     # Negasymmetric codes are no edges: they start used and stay used.
-    used = bytearray((~is_edge).tobytes())
+    used = bytearray(num_codes)
+    for e in negasymmetric_codes(n, k):
+        used[e] = 1
     num_vertices = k ** (n - 1)
 
     best_len = 0
@@ -160,19 +159,21 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
         # Unused in-edges of start: once none is left, the walk cannot close.
         start_in = sum(not used[y * num_vertices + start] for y in range(k))
         walk: list[int] = []
+        partners: list[int] = []  # -e^R of each edge on the walk
         ptr: list[int] = []  # next out-edge offset to try at each depth
         e = e0
         while True:
             if e >= 0:  # take e and its partner
                 walk.append(e)
                 ptr.append(0)
-                p = partner[e]
+                p = low[e % K] + high[e // K]
+                partners.append(p)
                 used[e] = used[p] = 1
                 start_in -= (e % num_vertices == start) + (p % num_vertices == start)
             else:  # release the last edge and its partner
                 e = walk.pop()
                 ptr.pop()
-                p = partner[e]
+                p = partners.pop()
                 used[e] = used[p] = 0
                 start_in += (e % num_vertices == start) + (p % num_vertices == start)
                 if not walk:
@@ -216,10 +217,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
 def graph_content_hash(n: int, k: int) -> str:
     """SHA-256 of the packed edge bitmap; pins the searched graph in certificates."""
-    import numpy as np
-
-    bitmap = ReducedGraph(n, k).edge_bitmap()
-    return hashlib.sha256(np.packbits(bitmap).tobytes()).hexdigest()
+    return hashlib.sha256(ReducedGraph(n, k).edge_bitmap()).hexdigest()
 
 
 def certify(result: SearchResult) -> str:

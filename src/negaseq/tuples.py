@@ -13,12 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import EnumerationBudgetError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -169,20 +166,30 @@ def is_negasymmetric_code(code: int, n: int, k: int) -> bool:
     return code == nega_reverse_code(code, n, k)
 
 
-def partner_codes(n: int, k: int) -> np.ndarray:
-    """partner[e] = code of -e^R for all k^n codes e (int64 numpy array).
+def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
+    """(K, low, high) with K = k^(n//2) and -e^R == low[e % K] + high[e // K]
+    for every code e of length n.
 
-    The vectorised form of `nega_reverse_code`; e is an edge of the reduced
-    graph iff partner[e] != e.  Built from the table for length j - 1 by
-    -(p*k + d)^R = (-d)*k^(j-1) + -p^R, with no division.
+    The partner map e -> -e^R of all k^n codes in two tables of k^(n//2)
+    and k^ceil(n/2) entries: -(hi*K + lo)^R = (-lo^R)*k^ceil(n/2) + -hi^R.
+    e is an edge of the reduced graph iff its partner differs from it.
     """
-    import numpy as np
+    half = n // 2
+    shift = k ** (n - half)
+    low = [nega_reverse_code(lo, half, k) * shift for lo in range(k**half)]
+    high = [nega_reverse_code(hi, n - half, k) for hi in range(shift)]
+    return k**half, low, high
 
-    negated = -np.arange(k, dtype=np.int64) % k
-    partner = np.zeros(1, dtype=np.int64)
-    for j in range(n):
-        partner = np.add.outer(partner, negated * k**j).ravel()
-    return partner
+
+def negasymmetric_codes(n: int, k: int) -> list[int]:
+    """The codes e == -e^R (the non-edges of the reduced graph), ascending.
+
+    The low half of a fixed point is the low half of its partner, so each
+    high half hi has one candidate, lo = high[hi] % K.
+    """
+    K, low, high = partner_halves(n, k)
+    return [e for hi, p in enumerate(high)
+            if low[p % K] + p == (e := hi * K + p % K)]
 
 
 # -- tuple classes and counting ------------------------------------------

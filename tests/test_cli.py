@@ -192,7 +192,7 @@ def test_cli_import_loads_no_numpy():
 
 
 # The negaseq modules a cold start of each command loads: the command's own
-# modules and nothing else.  Only `search` may load numpy.
+# modules and nothing else.  No command loads numpy.
 COLD_COMMANDS = [
     (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
     (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"], {"tuples"}),
@@ -201,6 +201,8 @@ COLD_COMMANDS = [
      {"tuples", "graph", "bounds"}),
     (["verify", "--n", "2", "--k", "3"], {"tuples", "verify"}),
     (["export-dot", "--n", "3", "--k", "3"], {"tuples", "graph"}),
+    (["search", "--n", "3", "--k", "3"],
+     {"tuples", "graph", "bounds", "verify", "search"}),
 ]
 
 

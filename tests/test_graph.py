@@ -34,12 +34,15 @@ class TestEdgeCounts:
             assert g.edge_count() == edge_count_formula(n, k), (n, k)
 
     def test_implicit_and_explicit_agree(self):
-        # has_edge_code (scalar rule) against edge_bitmap (partner table)
+        # has_edge_code (scalar rule) against edge_bitmap (negasymmetric codes)
         for n, k in [(2, 3), (3, 4), (4, 3)]:
             g = ReducedGraph(n, k)
-            bitmap = g.edge_bitmap().tolist()
+            bitmap = g.edge_bitmap()
+            assert len(bitmap) == -(-k**n // 8)
             for code in range(k**n):
-                assert g.has_edge_code(code) == bitmap[code]
+                bit = bitmap[code >> 3] >> (7 - code % 8) & 1
+                assert g.has_edge_code(code) == bool(bit)
+            assert bitmap[-1] % (1 << -k**n % 8) == 0  # zero padding
 
 
 class TestDegrees:

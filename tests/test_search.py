@@ -284,6 +284,9 @@ class TestCertificates:
         (2, 3, "3199f2c565ed95595bf5cb187dea172fceda432bcac7dc372f51e615a673efe5"),
         (3, 3, "20368f81d1a6ee4d84708b6b12ae0cdd09bf0f21d3f0af5e937117db72a6ec93"),
         (8, 5, "ff9c5c66f16c67c01529fc38d71dd4ae8e10a2292a6fbbe9e7ef1b19b0251c87"),
+        (4, 4, "dbe0eae30d42524fed93c9781b2e0d228afcee4d310dfe613ea3bf0f7588c280"),
+        (10, 5, "216a8daf70c6ca317869cde07aba4a267b463c80fba11005116389be6977cf56"),
+        (12, 4, "63004da44c6d8a372cf0199867929629eebe482c51d0f1b0662d0da1b546d8ca"),
     ])
     def test_graph_hash_pinned(self, n, k, digest):
         assert graph_content_hash(n, k) == digest

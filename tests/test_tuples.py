@@ -11,7 +11,8 @@ from negaseq.tuples import (
     encode,
     enumerate_class,
     nega_reverse_code,
-    partner_codes,
+    negasymmetric_codes,
+    partner_halves,
 )
 
 
@@ -78,8 +79,17 @@ class TestInvolutions:
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (4, 5), (3, 10), (2, 12)])
     def test_partner_codes_match_scalar_map(self, n, k):
-        assert partner_codes(n, k).tolist() == \
+        K, low, high = partner_halves(n, k)
+        assert (len(low), len(high)) == (k ** (n // 2), k ** (n - n // 2))
+        assert [low[code % K] + high[code // K] for code in range(k**n)] == \
             [nega_reverse_code(code, n, k) for code in range(k**n)]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4, 5, 6)
+                                     for k in (3, 4, 5, 6)])
+    def test_negasymmetric_codes_match_scan(self, n, k):
+        codes = negasymmetric_codes(n, k)
+        assert codes == [e for e in range(k**n) if nega_reverse_code(e, n, k) == e]
+        assert len(codes) == count_class(TupleClass.NEGASYMMETRIC, n, k)
 
 
 class TestPredicates:
