@@ -2,10 +2,10 @@
 
 `nos_bound` evaluates the closed-form case formulas directly; the
 excluded-edge bookkeeping in `graph.excluded_edge_budget` rebuilds the
-same values from the tuple-class counts, giving two independent routes
-that the tests compare.  Reference values (including the opaque older
-bounds and the best known periods) live in a CSV shipped with the
-package.
+same values from the tuple-class counts.  `nos_bound` computes both
+routes on every call and raises `InternalConsistencyError` if they
+disagree.  Reference values (including the opaque older bounds and the
+best known periods) live in a CSV shipped with the package.
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ def nos_bound(n: int, k: int) -> BoundValue:
     if numerator % 2 != 0:
         raise InternalConsistencyError(
             f"odd bound numerator {numerator} at n={n}, k={k}")
+    breakdown = excluded_edge_budget(n, k)
+    if breakdown.resulting_period_bound != numerator // 2:
+        raise InternalConsistencyError(
+            f"case formula gives {numerator // 2} but the excluded-edge budget "
+            f"gives {breakdown.resulting_period_bound} at n={n}, k={k}")
     return BoundValue(n=n, k=k, value=numerator // 2, regime=_regime(n, k),
-                      breakdown=excluded_edge_budget(n, k))
+                      breakdown=breakdown)
 
 
 # -- reference tables -----------------------------------------------------
@@ -119,7 +124,8 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
                 maximal=None if maximal is None else bool(maximal))
         return entries
     except (OSError, ValueError) as exc:  # OSError: a directory, or unreadable
-        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+        source = path if path is not None else "packaged reference_bounds.csv"
+        raise ValueError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 @dataclass(frozen=True)

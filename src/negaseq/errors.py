@@ -27,4 +27,4 @@ class NotAnNosError(NegaseqError):
 
 
 class InternalConsistencyError(NegaseqError):
-    """A closed-form numerator came out odd, or an equivalent impossibility."""
+    """A closed-form numerator came out odd, or two routes to a bound disagree."""

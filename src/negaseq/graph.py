@@ -3,10 +3,10 @@
 Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
 drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
-Membership is that one rule on single codes; `ReducedGraph.edge_bitmap`
-takes the other route, clearing the bits of the codes
-`negasymmetric_codes` lists, and backs the edge count and the search's
-graph hash.
+`ReducedGraph.has_edge_code` applies that rule to one code.  The other
+route, every code that `negasymmetric_codes` does not list, is behind
+`ReducedGraph.edge_bitmap` (the edge count and the search's graph hash),
+`ReducedGraph.edges` and the DOT export.
 """
 
 from __future__ import annotations
@@ -75,10 +75,12 @@ class ReducedGraph:
         return int.from_bytes(self.edge_bitmap(), "big").bit_count()
 
     def edges(self) -> Iterator[int]:
-        """Edge codes in increasing (lexicographic) order."""
-        for code in range(self.num_codes):
-            if self.has_edge_code(code):
-                yield code
+        """Edge codes in increasing order: those `negasymmetric_codes` skips."""
+        start = 0
+        for e in negasymmetric_codes(self.n, self.k):
+            yield from range(start, e)
+            start = e + 1
+        yield from range(start, self.num_codes)
 
     def edge_head(self, code: int) -> int:
         """Vertex code of the suffix of the edge's n-tuple."""
@@ -249,15 +251,11 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
     names = []  # each vertex name decoded once; edges index into it
-    skip = []  # code of v.x with v right-sns and x = -v_0 (negasymmetric), else v*k+k
     for vcode in range(g.num_vertices):
         word = g.vertex_word(vcode)
-        flags = structural_flags(word)
         names.append(sep.join(map(str, word.symbols)))
-        lines.append(f'  "{names[-1]}" [{_vertex_attrs(flags)}];')
-        skip.append(vcode * k + (-word.symbols[0] % k if flags["right_sns"] else k))
-    edge_codes = sorted(graph.edge_codes) if graph is not g else (
-        e for v, bad in enumerate(skip) for e in range(v * k, v * k + k) if e != bad)
+        lines.append(f'  "{names[-1]}" [{_vertex_attrs(structural_flags(word))}];')
+    edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
     for ecode in edge_codes:
         tail = names[ecode // k]  # an edge's label is its tail plus one symbol
         lines.append(f'  "{tail}" -> "{names[ecode % g.num_vertices]}" '

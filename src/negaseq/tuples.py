@@ -3,9 +3,11 @@
 A "word" here is a fixed-length tuple of residues mod k with the alphabet
 size carried alongside.  The structural predicates (negasymmetric, uniform,
 alternating, uniform-alternating, left/right semi-negasymmetric) drive both
-the reduced de Bruijn graph and the period-bound bookkeeping.  Every closed
-count has a brute-force enumeration oracle (`enumerate_class`) so each
-formula branch is independently checkable.
+the reduced de Bruijn graph and the period-bound bookkeeping.  Each tuple
+class is one row of a table (`_CLASSES`): its smallest n and the predicates
+that must hold and must fail.  Every closed count has a brute-force
+enumeration oracle (`enumerate_class`) so each formula branch is
+independently checkable.
 """
 
 from __future__ import annotations
@@ -213,58 +215,51 @@ class TupleClass(Enum):
     NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS = "non-uniform-non-alternating-right-sns"
 
 
-# Note: the "non-uniform-alternating" classes read as "not uniform-alternating",
-# i.e. left-sns words that fail the uniform-alternating predicate.
-
-_MIN_N = {cls: 2 for cls in TupleClass}
-_MIN_N[TupleClass.NEGASYMMETRIC] = 1
-# The non-alternating exclusion is computed via alternating (n-1)-tuples,
-# which only exist for n >= 3; at n=2 the closed form does not apply.
-_MIN_N[TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS] = 3
-_MIN_N[TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS] = 3
+# One row per class: (smallest n its closed form covers, predicates that must
+# hold, predicates that must fail).  "Non-uniform-alternating" means "not
+# uniform-alternating".  The non-alternating closed forms count alternating
+# (n-1)-tuples, which only exist for n >= 3.
+_CLASSES = {
+    TupleClass.NEGASYMMETRIC: (1, (Word.is_negasymmetric,), ()),
+    TupleClass.UNIFORM: (2, (Word.is_uniform,), ()),
+    TupleClass.ALTERNATING: (2, (Word.is_alternating,), ()),
+    TupleClass.UNIFORM_ALTERNATING: (2, (Word.is_uniform_alternating,), ()),
+    TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
+        (2, (Word.is_uniform, Word.is_uniform_alternating), ()),
+    TupleClass.UNIFORM_NEGASYMMETRIC:
+        (2, (Word.is_uniform, Word.is_negasymmetric), ()),
+    TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
+        (2, (Word.is_uniform_alternating, Word.is_negasymmetric), ()),
+    TupleClass.ALTERNATING_NEGASYMMETRIC:
+        (2, (Word.is_alternating, Word.is_negasymmetric), ()),
+    TupleClass.LEFT_SNS: (2, (Word.is_left_sns,), ()),
+    TupleClass.RIGHT_SNS: (2, (Word.is_right_sns,), ()),
+    TupleClass.NON_UNIFORM_LEFT_SNS: (2, (Word.is_left_sns,), (Word.is_uniform,)),
+    TupleClass.NON_UNIFORM_RIGHT_SNS: (2, (Word.is_right_sns,), (Word.is_uniform,)),
+    TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
+        (2, (Word.is_left_sns,), (Word.is_uniform_alternating,)),
+    TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
+        (2, (Word.is_right_sns,), (Word.is_uniform_alternating,)),
+    TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
+        (3, (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating)),
+    TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
+        (3, (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating)),
+}
 
 
 def class_predicate(cls: TupleClass, w: Word) -> bool:
-    if cls is TupleClass.NEGASYMMETRIC:
-        return w.is_negasymmetric()
-    if cls is TupleClass.UNIFORM:
-        return w.is_uniform()
-    if cls is TupleClass.ALTERNATING:
-        return w.is_alternating()
-    if cls is TupleClass.UNIFORM_ALTERNATING:
-        return w.is_uniform_alternating()
-    if cls is TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
-        return w.is_uniform() and w.is_uniform_alternating()
-    if cls is TupleClass.UNIFORM_NEGASYMMETRIC:
-        return w.is_uniform() and w.is_negasymmetric()
-    if cls is TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
-        return w.is_uniform_alternating() and w.is_negasymmetric()
-    if cls is TupleClass.ALTERNATING_NEGASYMMETRIC:
-        return w.is_alternating() and w.is_negasymmetric()
-    if cls is TupleClass.LEFT_SNS:
-        return w.is_left_sns()
-    if cls is TupleClass.RIGHT_SNS:
-        return w.is_right_sns()
-    if cls is TupleClass.NON_UNIFORM_LEFT_SNS:
-        return w.is_left_sns() and not w.is_uniform()
-    if cls is TupleClass.NON_UNIFORM_RIGHT_SNS:
-        return w.is_right_sns() and not w.is_uniform()
-    if cls is TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
-        return w.is_left_sns() and not w.is_uniform_alternating()
-    if cls is TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
-        return w.is_right_sns() and not w.is_uniform_alternating()
-    if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
-        return w.is_left_sns() and not w.is_uniform() and not w.is_alternating()
-    if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
-        return w.is_right_sns() and not w.is_uniform() and not w.is_alternating()
-    raise ValueError(f"unknown class {cls}")
+    """True iff w is in cls: the class's row, evaluated in order."""
+    if not isinstance(cls, TupleClass):
+        raise ValueError(f"unknown class {cls}")
+    _, holds, fails = _CLASSES[cls]
+    return all(p(w) for p in holds) and not any(p(w) for p in fails)
 
 
 def _check_count_args(cls: TupleClass, n: int, k: int) -> None:
     if k < 3:
         raise ValueError(f"alphabet size must be at least 3, got k={k}")
-    if n < _MIN_N[cls]:
-        raise ValueError(f"{cls.value} requires n >= {_MIN_N[cls]}, got n={n}")
+    if n < _CLASSES[cls][0]:
+        raise ValueError(f"{cls.value} requires n >= {_CLASSES[cls][0]}, got n={n}")
 
 
 def count_class(cls: TupleClass, n: int, k: int) -> int:
@@ -339,8 +334,6 @@ def count_class(cls: TupleClass, n: int, k: int) -> int:
         if k_odd:
             return k ** (n // 2) - 1
         return 2 * k ** (n // 2) - 4
-
-    raise ValueError(f"unknown class {cls}")
 
 
 def enumerate_class(cls: TupleClass, n: int, k: int,

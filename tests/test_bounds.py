@@ -1,11 +1,13 @@
 import pytest
 
+from negaseq import bounds
 from negaseq.bounds import (
     bound_table,
     format_table,
     load_reference_table,
     nos_bound,
 )
+from negaseq.errors import InternalConsistencyError
 
 
 class TestNosBound:
@@ -38,6 +40,19 @@ class TestNosBound:
             for k in range(3, 12):
                 b = nos_bound(n, k)
                 assert b.breakdown.resulting_period_bound == b.value, (n, k)
+
+    @pytest.mark.parametrize("shift, message", [
+        (2, "case formula gives 12 but the excluded-edge budget gives 11 "
+            "at n=3, k=3"),
+        (1, "odd bound numerator 23 at n=3, k=3"),
+    ], ids=["routes-disagree", "odd-numerator"])
+    def test_inconsistent_numerator_raises(self, monkeypatch, shift, message):
+        numerator = bounds._numerator
+        monkeypatch.setattr(bounds, "_numerator",
+                            lambda n, k: numerator(n, k) + shift)
+        with pytest.raises(InternalConsistencyError) as err:
+            nos_bound(3, 3)
+        assert str(err.value) == message
 
     def test_monotone_in_k(self):
         for n in range(2, 10):

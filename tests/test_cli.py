@@ -364,6 +364,18 @@ class TestBoundAndTable:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    def test_missing_packaged_csv_is_named(self, runner, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from negaseq import bounds
+
+        monkeypatch.setattr(bounds, "resources",
+                            SimpleNamespace(files=lambda package: tmp_path))
+        result = runner.invoke(main, ["table", "--n", "2..3", "--k", "3..4"])
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            "Error: packaged reference_bounds.csv: No such file or directory\n")
+
     def test_table_single_value_range(self, runner):
         result = runner.invoke(main, ["table", "--n", "2", "--k", "3"])
         assert result.exit_code == 0

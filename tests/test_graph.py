@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from negaseq.graph import (
     sequence_subgraph,
     vertex_profile,
 )
-from negaseq.tuples import Word, decode, window_codes
+from negaseq.tuples import Word, decode, encode, window_codes
 from negaseq.verify import PeriodicSequence
 
 SMALL = [(n, k) for n in (2, 3, 4, 5) for k in (3, 4, 5, 6)]
@@ -34,7 +35,8 @@ class TestEdgeCounts:
             assert g.edge_count() == edge_count_formula(n, k), (n, k)
 
     def test_implicit_and_explicit_agree(self):
-        # has_edge_code (scalar rule) against edge_bitmap (negasymmetric codes)
+        # has_edge_code (scalar rule) against edge_bitmap and edges()
+        # (negasymmetric codes)
         for n, k in [(2, 3), (3, 4), (4, 3)]:
             g = ReducedGraph(n, k)
             bitmap = g.edge_bitmap()
@@ -43,6 +45,7 @@ class TestEdgeCounts:
                 bit = bitmap[code >> 3] >> (7 - code % 8) & 1
                 assert g.has_edge_code(code) == bool(bit)
             assert bitmap[-1] % (1 << -k**n % 8) == 0  # zero padding
+            assert list(g.edges()) == [c for c in range(k**n) if g.has_edge_code(c)]
 
 
 class TestDegrees:
@@ -227,6 +230,13 @@ class TestDotExport:
         edges = [ln for ln in lines if "->" in ln]
         assert len(edges) == 6
         assert any('fillcolor="gold"' in ln for ln in lines)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n, k in SMALL if k**n <= 10**4])
+    def test_full_graph_edges_follow_scalar_rule(self, n, k):
+        g = ReducedGraph(n, k)
+        labels = re.findall(r'\[label="(\d+)"\]', export_dot(g))
+        assert [encode(tuple(map(int, label)), k) for label in labels] == \
+            [c for c in range(k**n) if g.has_edge_code(c)]
 
     def test_subgraph_export(self):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 2)

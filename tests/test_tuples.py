@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,11 +168,23 @@ class TestCounts:
                     rights = {t.symbols for t in enumerate_class(right, n, k)}
                     assert {t.reverse().symbols for t in lefts} == rights
 
+    # The smallest n of each class, recorded with the messages from the
+    # per-class minimum table that preceded the class table.
+    MIN_N = dict.fromkeys(TupleClass, 2) | {
+        TupleClass.NEGASYMMETRIC: 1,
+        TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS: 3,
+        TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS: 3,
+    }
+
     def test_minimum_n_rejected(self):
-        with pytest.raises(ValueError):
-            count_class(TupleClass.UNIFORM, 1, 3)
-        with pytest.raises(ValueError):
-            count_class(TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS, 2, 3)
+        for cls, min_n in self.MIN_N.items():
+            message = f"{cls.value} requires n >= {min_n}, got n={min_n - 1}"
+            for call in (count_class, lambda *a: next(enumerate_class(*a))):
+                with pytest.raises(ValueError) as err:
+                    call(cls, min_n - 1, 3)
+                assert str(err.value) == message
+            assert count_class(cls, min_n, 3) == \
+                sum(1 for _ in enumerate_class(cls, min_n, 3))
         with pytest.raises(ValueError):
             count_class(TupleClass.NEGASYMMETRIC, 3, 2)
 
@@ -199,7 +213,64 @@ def test_word_validation():
         Word((3,), 3)
 
 
+def oracle_predicate(cls, t):
+    """The per-class branch chain that preceded the class table."""
+    if cls is TupleClass.NEGASYMMETRIC:
+        return t.is_negasymmetric()
+    if cls is TupleClass.UNIFORM:
+        return t.is_uniform()
+    if cls is TupleClass.ALTERNATING:
+        return t.is_alternating()
+    if cls is TupleClass.UNIFORM_ALTERNATING:
+        return t.is_uniform_alternating()
+    if cls is TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
+        return t.is_uniform() and t.is_uniform_alternating()
+    if cls is TupleClass.UNIFORM_NEGASYMMETRIC:
+        return t.is_uniform() and t.is_negasymmetric()
+    if cls is TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
+        return t.is_uniform_alternating() and t.is_negasymmetric()
+    if cls is TupleClass.ALTERNATING_NEGASYMMETRIC:
+        return t.is_alternating() and t.is_negasymmetric()
+    if cls is TupleClass.LEFT_SNS:
+        return t.is_left_sns()
+    if cls is TupleClass.RIGHT_SNS:
+        return t.is_right_sns()
+    if cls is TupleClass.NON_UNIFORM_LEFT_SNS:
+        return t.is_left_sns() and not t.is_uniform()
+    if cls is TupleClass.NON_UNIFORM_RIGHT_SNS:
+        return t.is_right_sns() and not t.is_uniform()
+    if cls is TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
+        return t.is_left_sns() and not t.is_uniform_alternating()
+    if cls is TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
+        return t.is_right_sns() and not t.is_uniform_alternating()
+    if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
+        return t.is_left_sns() and not t.is_uniform() and not t.is_alternating()
+    if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
+        return t.is_right_sns() and not t.is_uniform() and not t.is_alternating()
+    raise ValueError(f"unknown class {cls}")
+
+
+def outcome(predicate, cls, t):
+    """The predicate's value, or the type of the exception it raises."""
+    try:
+        return predicate(cls, t)
+    except Exception as exc:
+        return type(exc)
+
+
 def test_class_predicate_covers_all_classes():
-    t = w([0, 1, 2, 0], 3)
-    for cls in TupleClass:
-        assert class_predicate(cls, t) in (True, False)
+    # Every class on every word with n = 1..5, k = 3..6; at n = 1 the
+    # alternating predicates raise, and the outcome is the exception type.
+    for n in range(1, 6):
+        for k in range(3, 7):
+            for symbols in itertools.product(range(k), repeat=n):
+                t = Word(symbols, k)
+                for cls in TupleClass:
+                    assert outcome(class_predicate, cls, t) == \
+                        outcome(oracle_predicate, cls, t), (cls, t)
+
+
+@pytest.mark.parametrize("cls", ["uniform", None, 3])
+def test_class_predicate_rejects_non_class(cls):
+    with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
+        class_predicate(cls, w([0, 1], 3))
