@@ -17,6 +17,7 @@ from typing import Optional
 
 from .errors import InternalConsistencyError
 from .graph import BoundBreakdown, excluded_edge_budget
+from .tuples import check_graph_params
 
 
 def _regime(n: int, k: int) -> str:
@@ -56,8 +57,7 @@ def _numerator(n: int, k: int) -> int:
 
 def nos_bound(n: int, k: int) -> BoundValue:
     """Upper bound on the period of a k-ary order-n negative orientable sequence."""
-    if n < 2 or k < 3:
-        raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
+    check_graph_params(n, k)
     numerator = _numerator(n, k)
     if numerator % 2 != 0:
         raise InternalConsistencyError(

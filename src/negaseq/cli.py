@@ -212,18 +212,18 @@ def profile(n, k, vertex, fmt):
     g = graph_mod.ReducedGraph(n, k)
     w = _parse_tuple(vertex, k)
     p = graph_mod.vertex_profile(g, w)
+    in_parity, out_parity = ("odd" if d % 2 else "even"
+                             for d in (p.in_degree, p.out_degree))
     payload = {
         "label": str(p.label), "n": n, "k": k,
         "in_degree": p.in_degree, "out_degree": p.out_degree,
-        "in_parity": p.in_parity, "out_parity": p.out_parity,
-        "flags": tuples_mod.structural_flags(p.label),
+        "in_parity": in_parity, "out_parity": out_parity, "flags": p.flags,
     }
-    text = (f"vertex {p.label}: in={p.in_degree} ({p.in_parity}), "
-            f"out={p.out_degree} ({p.out_parity})\n"
-            f"  left_sns={p.left_sns} right_sns={p.right_sns} "
-            f"negasymmetric={p.negasymmetric} uniform={p.uniform} "
-            f"alternating={p.alternating} "
-            f"uniform_alternating={p.uniform_alternating}\n")
+    text = (f"vertex {p.label}: in={p.in_degree} ({in_parity}), "
+            f"out={p.out_degree} ({out_parity})\n  " + " ".join(
+                f"{name}={p.flags[name]}" for name in (
+                    "left_sns", "right_sns", "negasymmetric", "uniform",
+                    "alternating", "uniform_alternating")) + "\n")
     _emit(payload, fmt, text)
 
 
@@ -386,7 +386,7 @@ def export_dot(n, k, sequence_text, output):
 
         seq = verify_mod.parse_sequence_line(sequence_text, k)
         sub = graph_mod.sequence_subgraph(seq, n)
-        text = graph_mod.export_dot(sub, name="nega_sequence_subgraph")
+        text = graph_mod.export_dot(sub)
     click.echo(text, nl=False, file=output)
 
 

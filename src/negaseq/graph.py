@@ -20,6 +20,7 @@ from .errors import GraphSizeError, NotAnNosError
 from .tuples import (
     TupleClass,
     Word,
+    check_graph_params,
     count_class,
     decode,
     is_negasymmetric_code,
@@ -32,13 +33,12 @@ from .tuples import (
 if TYPE_CHECKING:
     from .verify import PeriodicSequence
 
-DEFAULT_DOT_EDGE_BUDGET = 10**5
+DOT_BUDGET = 10**5
 
 
 def edge_count_formula(n: int, k: int) -> int:
     """Number of non-negasymmetric n-tuples: k^n minus the negasymmetric count."""
-    if n < 2 or k < 3:
-        raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
+    check_graph_params(n, k)
     return k**n - count_class(TupleClass.NEGASYMMETRIC, n, k)
 
 
@@ -50,8 +50,7 @@ class ReducedGraph:
     """
 
     def __init__(self, n: int, k: int):
-        if n < 2 or k < 3:
-            raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
+        check_graph_params(n, k)
         self.n = n
         self.k = k
         self.num_vertices = k ** (n - 1)
@@ -82,14 +81,6 @@ class ReducedGraph:
             start = e + 1
         yield from range(start, self.num_codes)
 
-    def edge_head(self, code: int) -> int:
-        """Vertex code of the suffix of the edge's n-tuple."""
-        return code % self.num_vertices
-
-    def edge_tail(self, code: int) -> int:
-        """Vertex code of the prefix of the edge's n-tuple."""
-        return code // self.k
-
     def out_edges(self, vertex_code: int) -> Iterator[int]:
         base = vertex_code * self.k
         for x in range(self.k):
@@ -111,14 +102,7 @@ class VertexProfile:
     label: Word
     in_degree: int
     out_degree: int
-    left_sns: bool
-    right_sns: bool
-    negasymmetric: bool
-    uniform: bool
-    alternating: bool
-    uniform_alternating: bool
-    in_parity: str  # "even" | "odd"
-    out_parity: str
+    flags: dict[str, bool]  # structural_flags(label)
 
 
 def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
@@ -133,12 +117,8 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
     code = v.code()
     in_degree = sum(1 for _ in g.in_edges(code))
     out_degree = sum(1 for _ in g.out_edges(code))
-    return VertexProfile(
-        label=v, in_degree=in_degree, out_degree=out_degree,
-        **structural_flags(v),
-        in_parity="even" if in_degree % 2 == 0 else "odd",
-        out_parity="even" if out_degree % 2 == 0 else "odd",
-    )
+    return VertexProfile(label=v, in_degree=in_degree, out_degree=out_degree,
+                         flags=structural_flags(v))
 
 
 @dataclass
@@ -152,14 +132,18 @@ class SequenceSubgraph:
 
     n: int
     k: int
-    edge_codes: set[int] = field(default_factory=set)
     in_degree: Counter = field(default_factory=Counter)
     out_degree: Counter = field(default_factory=Counter)
     # edge code -> (stream, window index), stream in {"S", "-S^R"}
     edge_origin: dict[int, tuple[str, int]] = field(default_factory=dict)
 
+    @property
+    def edge_codes(self):
+        """The edge codes, as a set-like view of `edge_origin`'s keys."""
+        return self.edge_origin.keys()
+
     def edge_count(self) -> int:
-        return len(self.edge_codes)
+        return len(self.edge_origin)
 
     def is_balanced(self) -> bool:
         vertices = set(self.in_degree) | set(self.out_degree)
@@ -205,7 +189,7 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
                 origin[code] = (name, i)
     num_vertices = k ** (n - 1)
     return SequenceSubgraph(
-        n=n, k=k, edge_codes=set(origin),
+        n=n, k=k,
         in_degree=Counter([c % num_vertices for c in origin]),
         out_degree=Counter([c // k for c in origin]),
         edge_origin=origin)
@@ -232,21 +216,22 @@ def _vertex_attrs(flags: dict[str, bool]) -> str:
     return f'style=filled fillcolor="{color}"'
 
 
-def export_dot(graph: Union[ReducedGraph, SequenceSubgraph],
-               name: str = "reduced_debruijn",
-               edge_budget: int = DEFAULT_DOT_EDGE_BUDGET) -> str:
-    """DOT text of the graph.  The edge count (closed form for the full
-    graph) and the vertex count are each checked against the budget before
-    any code is enumerated: a subgraph's few edges still come with a
-    statement for every one of the k^(n-1) vertices."""
+def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
+    """DOT text of the graph: digraph `reduced_debruijn` for the full graph,
+    `nega_sequence_subgraph` for B^-(S, n).  The edge count (closed form for
+    the full graph) and the vertex count are each checked against
+    `DOT_BUDGET` before any code is enumerated: a subgraph's few edges still
+    come with a statement for every one of the k^(n-1) vertices."""
     if isinstance(graph, ReducedGraph):
         g, size = graph, edge_count_formula(graph.n, graph.k)
+        name = "reduced_debruijn"
     else:
-        g, size = ReducedGraph(graph.n, graph.k), len(graph.edge_codes)
+        g, size = ReducedGraph(graph.n, graph.k), graph.edge_count()
+        name = "nega_sequence_subgraph"
     for count, what in ((size, "edges"), (g.num_vertices, "vertices")):
-        if count > edge_budget:
+        if count > DOT_BUDGET:
             raise GraphSizeError(
-                f"{count} {what} exceed the DOT export budget of {edge_budget}")
+                f"{count} {what} exceed the DOT export budget of {DOT_BUDGET}")
     k = g.k
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
@@ -299,8 +284,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
     branch; the set sizes come from the tuple-class counting formulas at
     length n-1 and the overlap maxima are fixed per regime.
     """
-    if n < 2 or k < 3:
-        raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
+    check_graph_params(n, k)
     N = edge_count_formula(n, k)
     k_odd = k % 2 == 1
 

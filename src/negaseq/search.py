@@ -33,7 +33,7 @@ from typing import Optional
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import negasymmetric_codes, partner_halves
+from .tuples import check_graph_params, negasymmetric_codes, partner_halves
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -48,8 +48,7 @@ class SearchConfig:
     time_budget: Optional[float] = None  # seconds of wall clock
 
     def __post_init__(self):
-        if self.n < 2 or self.k < 3:
-            raise ValueError(f"need n >= 2 and k >= 3, got n={self.n}, k={self.k}")
+        check_graph_params(self.n, self.k)
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
         if self.time_budget is not None and self.time_budget <= 0:

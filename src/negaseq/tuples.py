@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import EnumerationBudgetError
 
-DEFAULT_ENUMERATION_BUDGET = 10**7
+ENUMERATION_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,12 @@ class Word:
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.symbols)
+
+
+def check_graph_params(n: int, k: int) -> None:
+    """The (n, k) domain of the graph, the bounds and the search."""
+    if n < 2 or k < 3:
+        raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
 
 
 def structural_flags(w: Word) -> dict[str, bool]:
@@ -247,19 +253,24 @@ _CLASSES = {
 }
 
 
-def class_predicate(cls: TupleClass, w: Word) -> bool:
-    """True iff w is in cls: the class's row, evaluated in order."""
+def _row(cls: TupleClass) -> tuple:
     if not isinstance(cls, TupleClass):
         raise ValueError(f"unknown class {cls}")
-    _, holds, fails = _CLASSES[cls]
+    return _CLASSES[cls]
+
+
+def class_predicate(cls: TupleClass, w: Word) -> bool:
+    """True iff w is in cls: the class's row, evaluated in order."""
+    _, holds, fails = _row(cls)
     return all(p(w) for p in holds) and not any(p(w) for p in fails)
 
 
 def _check_count_args(cls: TupleClass, n: int, k: int) -> None:
     if k < 3:
         raise ValueError(f"alphabet size must be at least 3, got k={k}")
-    if n < _CLASSES[cls][0]:
-        raise ValueError(f"{cls.value} requires n >= {_CLASSES[cls][0]}, got n={n}")
+    min_n = _row(cls)[0]
+    if n < min_n:
+        raise ValueError(f"{cls.value} requires n >= {min_n}, got n={n}")
 
 
 def count_class(cls: TupleClass, n: int, k: int) -> int:
@@ -336,13 +347,13 @@ def count_class(cls: TupleClass, n: int, k: int) -> int:
         return 2 * k ** (n // 2) - 4
 
 
-def enumerate_class(cls: TupleClass, n: int, k: int,
-                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[Word]:
-    """Brute-force oracle: yield, in lexicographic order, the n-tuples in cls."""
+def enumerate_class(cls: TupleClass, n: int, k: int) -> Iterator[Word]:
+    """Brute-force oracle: yield, in lexicographic order, the n-tuples in cls.
+    Refuses k^n above `ENUMERATION_BUDGET` before it yields a word."""
     _check_count_args(cls, n, k)
-    if k ** n > budget:
-        raise EnumerationBudgetError(
-            f"k^n = {k**n} exceeds the enumeration budget of {budget}")
+    if k ** n > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"k^n = {k**n} exceeds the enumeration "
+                                     f"budget of {ENUMERATION_BUDGET}")
     for symbols in itertools.product(range(k), repeat=n):
         w = Word(symbols, k)
         if class_predicate(cls, w):

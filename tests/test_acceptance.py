@@ -70,8 +70,8 @@ def test_criterion_2_edges_and_degrees():
                 assert g.edge_count() == edge_count_formula(n, k), (n, k)
                 for v in range(g.num_vertices):
                     p = vertex_profile(g, g.vertex_word(v))
-                    assert p.in_degree == (k - 1 if p.left_sns else k), (n, k, v)
-                    assert p.out_degree == (k - 1 if p.right_sns else k), (n, k, v)
+                    assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
+                    assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
 
 
 def test_criterion_3_reference_table_regression():

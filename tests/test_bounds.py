@@ -8,6 +8,8 @@ from negaseq.bounds import (
     nos_bound,
 )
 from negaseq.errors import InternalConsistencyError
+from negaseq.graph import ReducedGraph, edge_count_formula, excluded_edge_budget
+from negaseq.search import SearchConfig
 
 
 class TestNosBound:
@@ -28,10 +30,13 @@ class TestNosBound:
         assert nos_bound(6, 4).regime == "even-even"
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            nos_bound(1, 3)
-        with pytest.raises(ValueError):
-            nos_bound(2, 2)
+        # every (n, k) entry point refuses with the one domain message
+        for n, k in [(1, 3), (2, 2)]:
+            for entry in (nos_bound, edge_count_formula, excluded_edge_budget,
+                          ReducedGraph, SearchConfig):
+                with pytest.raises(ValueError, match=(
+                        f"^need n >= 2 and k >= 3, got n={n}, k={k}$")):
+                    entry(n, k)
 
     def test_breakdown_reproduces_value(self):
         # The closed-form numerator and the excluded-edge bookkeeping are

@@ -192,22 +192,30 @@ def test_cli_import_loads_no_numpy():
 
 
 # The negaseq modules a cold start of each command loads: the command's own
-# modules and nothing else.  No command loads numpy.
-COLD_COMMANDS = [
-    (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
-    (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"], {"tuples"}),
-    (["bound", "--n", "5", "--k", "3"], {"tuples", "graph", "bounds"}),
-    (["table", "--n", "2..4", "--k", "3..5", "--check-reference"],
-     {"tuples", "graph", "bounds"}),
-    (["verify", "--n", "2", "--k", "3"], {"tuples", "verify"}),
-    (["export-dot", "--n", "3", "--k", "3"], {"tuples", "graph"}),
-    (["search", "--n", "3", "--k", "3"],
-     {"tuples", "graph", "bounds", "verify", "search"}),
-]
+# modules and nothing else.  No command loads numpy.  `export-dot --sequence`
+# loads `verify` to parse the sequence.
+COLD_COMMANDS = {
+    "classify": (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
+    "count": (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"],
+              {"tuples"}),
+    "edges": (["edges", "--n", "3", "--k", "3"], {"tuples", "graph"}),
+    "profile": (["profile", "--n", "3", "--k", "4", "--vertex", "0,0"],
+                {"tuples", "graph"}),
+    "bound": (["bound", "--n", "5", "--k", "3"], {"tuples", "graph", "bounds"}),
+    "table": (["table", "--n", "2..4", "--k", "3..5", "--check-reference"],
+              {"tuples", "graph", "bounds"}),
+    "verify": (["verify", "--n", "2", "--k", "3"], {"tuples", "verify"}),
+    "export-dot": (["export-dot", "--n", "3", "--k", "3"], {"tuples", "graph"}),
+    "export-dot-sequence": (["export-dot", "--n", "2", "--k", "3",
+                             "--sequence", "0,1,1"],
+                            {"tuples", "graph", "verify"}),
+    "search": (["search", "--n", "3", "--k", "3"],
+               {"tuples", "graph", "bounds", "verify", "search"}),
+}
 
 
-@pytest.mark.parametrize("args, modules", COLD_COMMANDS,
-                         ids=[args[0] for args, _ in COLD_COMMANDS])
+@pytest.mark.parametrize("args, modules", COLD_COMMANDS.values(),
+                         ids=list(COLD_COMMANDS))
 def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
     env = _src_env()
     code = ("import sys\nfrom negaseq.cli import main\n"
@@ -396,6 +404,24 @@ class TestEdgesAndProfile:
         assert payload["in_degree"] == 2
         assert payload["out_degree"] == 2
         assert payload["flags"]["left_sns"] and payload["flags"]["right_sns"]
+
+    def test_profile_parity(self, runner):
+        # At k=4, (0,0) is left- and right-sns (degrees k-1 both ways) and
+        # (1,2) is right-sns only (2 = -2 mod 4).
+        for vertex, in_degree, in_parity, out_degree, out_parity in [
+                ("0,0", 3, "odd", 3, "odd"), ("1,2", 4, "even", 3, "odd")]:
+            args = ["profile", "--n", "3", "--k", "4", "--vertex", vertex]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert result.output.startswith(
+                f"vertex {vertex}: in={in_degree} ({in_parity}), "
+                f"out={out_degree} ({out_parity})\n")
+            payload = json.loads(
+                runner.invoke(main, args + ["--format", "json"]).output)
+            validate(payload)
+            assert (payload["in_degree"], payload["in_parity"],
+                    payload["out_degree"], payload["out_parity"]) == (
+                in_degree, in_parity, out_degree, out_parity)
 
     def test_profile_length_one_label(self, runner):
         args = ["profile", "--n", "2", "--k", "4", "--vertex", "2"]

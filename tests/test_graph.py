@@ -55,8 +55,8 @@ class TestDegrees:
             g = ReducedGraph(n, k)
             for v in range(g.num_vertices):
                 p = vertex_profile(g, g.vertex_word(v))
-                assert p.in_degree == (k - 1 if p.left_sns else k), (n, k, v)
-                assert p.out_degree == (k - 1 if p.right_sns else k), (n, k, v)
+                assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
+                assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
 
     def test_degree_sums_equal_edge_count(self):
         for n, k in SMALL:
@@ -66,12 +66,6 @@ class TestDegrees:
                 total_in += sum(1 for _ in g.in_edges(v))
                 total_out += sum(1 for _ in g.out_edges(v))
             assert total_in == total_out == edge_count_formula(n, k)
-
-    def test_parity_flags(self):
-        g = ReducedGraph(3, 4)
-        p = vertex_profile(g, Word((0, 0), 4))
-        assert p.in_parity == ("even" if p.in_degree % 2 == 0 else "odd")
-        assert p.out_parity == ("even" if p.out_degree % 2 == 0 else "odd")
 
     def test_profile_rejects_wrong_length(self):
         g = ReducedGraph(3, 3)
@@ -122,10 +116,12 @@ class TestStructure:
                 assert not t.is_negasymmetric()
 
     def test_edge_endpoints(self):
+        # an edge runs from its code // k (the prefix) to its code mod
+        # k^(n-1) (the suffix), as the subgraph degrees and the DOT export read it
         g = ReducedGraph(3, 3)
         e = Word((0, 1, 2), 3).code()
-        assert g.vertex_word(g.edge_tail(e)).symbols == (0, 1)
-        assert g.vertex_word(g.edge_head(e)).symbols == (1, 2)
+        assert g.vertex_word(e // g.k).symbols == (0, 1)
+        assert g.vertex_word(e % g.num_vertices).symbols == (1, 2)
 
 
 class TestSequenceSubgraph:
@@ -240,13 +236,14 @@ class TestDotExport:
 
     def test_subgraph_export(self):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 2)
-        text = export_dot(sub, name="nega_sequence_subgraph")
+        text = export_dot(sub)
         assert text.count("->") == 6
         assert "digraph nega_sequence_subgraph" in text
 
-    def test_budget(self):
-        with pytest.raises(GraphSizeError):
-            export_dot(ReducedGraph(3, 3), edge_budget=5)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "DOT_BUDGET", 5)
+        with pytest.raises(GraphSizeError, match="24 edges exceed the DOT export budget of 5"):
+            export_dot(ReducedGraph(3, 3))
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
         def no_flags(*args):
@@ -257,12 +254,14 @@ class TestDotExport:
             export_dot(ReducedGraph(12, 4))
 
 
-    def test_subgraph_vertex_count_is_budgeted(self):
+    def test_subgraph_vertex_count_is_budgeted(self, monkeypatch):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 3)
         assert sub.edge_count() == 6
+        monkeypatch.setattr(graph_mod, "DOT_BUDGET", 8)
         with pytest.raises(GraphSizeError, match="9 vertices exceed"):
-            export_dot(sub, edge_budget=8)
-        assert export_dot(sub, edge_budget=9).count("->") == 6
+            export_dot(sub)
+        monkeypatch.setattr(graph_mod, "DOT_BUDGET", 9)
+        assert export_dot(sub).count("->") == 6
 
     def test_subgraph_vertex_budget_checked_first(self, monkeypatch):
         def no_profiles(*args):
@@ -292,7 +291,8 @@ class TestDotExport:
          "f6fd5e51d284a7597f6f87a9c24512b9ba7e895b88db8c881dacfeb4d7b20095"),
     ], ids=["full-3-3", "full-4-4", "full-2-11", "subgraph-3-4", "subgraph-2-12"])
     def test_text_pinned(self, make, name, digest):
-        text = export_dot(make(), name=name)
+        text = export_dot(make())
+        assert text.startswith(f"digraph {name} {{\n")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from negaseq import tuples as tuples_mod
 from negaseq.errors import EnumerationBudgetError
 from negaseq.tuples import (
     TupleClass,
@@ -188,12 +189,18 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_class(TupleClass.NEGASYMMETRIC, 3, 2)
 
-    def test_enumeration_order_and_budget(self):
+    def test_enumeration_order_and_budget(self, monkeypatch):
         got = [t.symbols for t in enumerate_class(TupleClass.NEGASYMMETRIC, 2, 3)]
         assert got == [(0, 0), (1, 2), (2, 1)]
         assert got == sorted(got)
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_class(TupleClass.UNIFORM, 30, 9, budget=100))
+            list(enumerate_class(TupleClass.UNIFORM, 30, 9))
+        monkeypatch.setattr(tuples_mod, "ENUMERATION_BUDGET", 26)
+        with pytest.raises(EnumerationBudgetError, match="^k\\^n = 27 exceeds "
+                           "the enumeration budget of 26$"):
+            list(enumerate_class(TupleClass.UNIFORM, 3, 3))
+        monkeypatch.setattr(tuples_mod, "ENUMERATION_BUDGET", 27)
+        assert len(list(enumerate_class(TupleClass.UNIFORM, 3, 3))) == 3
 
     def test_uniform_enumeration(self):
         got = [t.symbols for t in enumerate_class(TupleClass.UNIFORM, 3, 3)]
@@ -274,3 +281,7 @@ def test_class_predicate_covers_all_classes():
 def test_class_predicate_rejects_non_class(cls):
     with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
         class_predicate(cls, w([0, 1], 3))
+    with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
+        count_class(cls, 3, 3)
+    with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
+        list(enumerate_class(cls, 3, 3))
