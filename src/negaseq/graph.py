@@ -25,6 +25,7 @@ from .tuples import (
     decode,
     is_negasymmetric_code,
     nega_reverse_code,
+    nega_reverse_symbols,
     negasymmetric_codes,
     structural_flags,
     window_codes,
@@ -173,7 +174,7 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     origin = dict(zip(codes_s, zip(repeat("S"), range(m))))
     streams = [("S", codes_s)]
     if len(origin) == m:
-        codes_r = window_codes(norm.nega_reverse().symbols, n, k)
+        codes_r = window_codes(nega_reverse_symbols(norm.symbols, k), n, k)
         origin.update(zip(codes_r, zip(repeat("-S^R"), range(m))))
         streams.append(("-S^R", codes_r))
     if len(origin) < 2 * m:  # a repeated edge: name the first one

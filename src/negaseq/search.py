@@ -20,11 +20,17 @@ and released.  The whole search stops once the incumbent meets the
 proven period upper bound (no longer walk can exist), or once a budget
 runs out: the expansion count is tested inline after every expansion and
 the wall clock after every 4096th.
+
+The returned sequence is the lexicographically least form, under
+rotation, nega-reverse and unit scaling (`canonicalize`), among the
+longest walks recorded.  Each recorded walk is verified with `is_nos` as
+the search found it.  Canonical forms are computed only for a walk that
+ties the incumbent's length (and for the incumbent, once) and for the
+result, which `is_nos` checks again before it is returned.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -129,25 +135,35 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
     best_len = 0
     best_seq: Optional[PeriodicSequence] = None
+    best_canonical = False  # is best_seq already in canonical form?
     expansions = 0
     aborted = False
     node_budget, time_budget = cfg.node_budget, cfg.time_budget
 
-    def record(walk: list[int]) -> None:
-        nonlocal best_len, best_seq
-        m = len(walk)
-        seq = canonicalize(_walk_to_sequence(walk, n, k))
+    def check(seq: PeriodicSequence, m: int) -> None:
         verdict = is_nos(seq, n)
         if not verdict.valid or verdict.period != m:
             raise InternalConsistencyError(
                 f"search produced a non-NOS walk of length {m}: {seq}")
+
+    def record(walk: list[int]) -> None:
+        # Only walks at least as long as the incumbent are recorded.
+        nonlocal best_len, best_seq, best_canonical
+        m = len(walk)
+        seq = _walk_to_sequence(walk, n, k)
+        check(seq, m)
         if m > bound:
             raise InternalConsistencyError(
                 f"walk of length {m} exceeds the proven bound {bound} "
                 f"at n={n}, k={k}")
-        if m > best_len or (m == best_len and best_seq is not None
-                            and seq.symbols < best_seq.symbols):
-            best_len, best_seq = m, seq
+        if m > best_len:
+            best_len, best_seq, best_canonical = m, seq, False
+            return
+        if not best_canonical:
+            best_seq, best_canonical = canonicalize(best_seq), True
+        seq = canonicalize(seq)
+        if seq.symbols < best_seq.symbols:
+            best_seq = seq
 
     for e0 in range(num_codes):
         if best_len >= bound or aborted:
@@ -207,6 +223,10 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                     ptr[:] = [k] * depth  # unwind the whole walk
                     e = -1
 
+    if best_seq is not None:
+        if not best_canonical:
+            best_seq = canonicalize(best_seq)
+        check(best_seq, best_len)
     elapsed = time.monotonic() - started
     optimal = (not aborted) or best_len >= bound
     return SearchResult(config=cfg, best_sequence=best_seq, period=best_len,
@@ -216,6 +236,8 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
 def graph_content_hash(n: int, k: int) -> str:
     """SHA-256 of the packed edge bitmap; pins the searched graph in certificates."""
+    import hashlib  # loads OpenSSL: only certificates pay for it
+
     return hashlib.sha256(ReducedGraph(n, k).edge_bitmap()).hexdigest()
 
 

@@ -55,7 +55,7 @@ class Word:
 
     def nega_reverse(self) -> "Word":
         """negate(reverse(self)); an involution."""
-        return Word(tuple((-s) % self.k for s in reversed(self.symbols)), self.k)
+        return Word(nega_reverse_symbols(self.symbols, self.k), self.k)
 
     # -- structural predicates -------------------------------------------
 
@@ -159,6 +159,11 @@ def window_codes(symbols: tuple[int, ...], n: int, k: int) -> list[int]:
     code = encode(ext[:n - 1], k)  # below high: the first step keeps it whole
     high = k ** (n - 1)
     return [code := code % high * k + s for s in ext[n - 1:m + n - 1]]
+
+
+def nega_reverse_symbols(symbols: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The symbols of -u^R: u reversed, each symbol negated mod k."""
+    return tuple([-s % k for s in symbols[::-1]])
 
 
 def nega_reverse_code(code: int, n: int, k: int) -> int:

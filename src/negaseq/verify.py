@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .tuples import Word, window_codes
+from .tuples import Word, nega_reverse_symbols, window_codes
 
 DUPLICATE_WINDOW = "duplicate-window"
 NEGA_REVERSE_COLLISION = "nega-reverse-collision"
@@ -48,8 +48,7 @@ class PeriodicSequence:
 
     def nega_reverse(self) -> "PeriodicSequence":
         """-S^R: reverse the period and negate every symbol."""
-        k = self.k
-        return PeriodicSequence(tuple([-s % k for s in self.symbols[::-1]]), k)
+        return PeriodicSequence(nega_reverse_symbols(self.symbols, self.k), self.k)
 
     def normalized(self) -> "PeriodicSequence":
         """The same cyclic sequence stored at its minimal period."""
@@ -155,7 +154,7 @@ def is_nos(seq: PeriodicSequence, n: int) -> Verdict:
     Window t of -S^R is the nega-reverse of window (m - n - t) mod m of S.
     The naive quadratic loop is kept as `is_nos_naive` for oracle testing.
     """
-    return _verdict(seq, n, "nos", lambda s: s.nega_reverse().symbols,
+    return _verdict(seq, n, "nos", lambda s: nega_reverse_symbols(s.symbols, s.k),
                     (NEGASYMMETRIC_WINDOW, NEGA_REVERSE_COLLISION))
 
 

@@ -193,7 +193,8 @@ def test_cli_import_loads_no_numpy():
 
 # The negaseq modules a cold start of each command loads: the command's own
 # modules and nothing else.  No command loads numpy.  `export-dot --sequence`
-# loads `verify` to parse the sequence.
+# loads `verify` to parse the sequence.  Only a certificate loads hashlib
+# (and OpenSSL with it), for its graph hash.
 COLD_COMMANDS = {
     "classify": (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
     "count": (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"],
@@ -211,6 +212,9 @@ COLD_COMMANDS = {
                             {"tuples", "graph", "verify"}),
     "search": (["search", "--n", "3", "--k", "3"],
                {"tuples", "graph", "bounds", "verify", "search"}),
+    "search-certificate": (["search", "--n", "3", "--k", "3",
+                            "--certificate", "cert.txt"],
+                           {"tuples", "graph", "bounds", "verify", "search"}),
 }
 
 
@@ -231,6 +235,12 @@ def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
         {"negaseq", "negaseq.cli", "negaseq.errors"}
         | {f"negaseq.{m}" for m in modules})
     assert "numpy" not in loaded
+    hashing = "--certificate" in args
+    assert bool({"hashlib", "_hashlib"} & loaded) == hashing
+    if hashing:  # the (3, 3) graph hash pinned in tests/test_search.py
+        assert ("graph_edges_sha256=20368f81d1a6ee4d84708b6b12ae0cdd"
+                "09bf0f21d3f0af5e937117db72a6ec93\n") in (
+                    tmp_path / "cert.txt").read_text()
 
 
 # SHA-256 of each command's --help as CliRunner renders it, recorded before

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negaseq import search as search_mod
-from negaseq.errors import GraphSizeError
+from negaseq.errors import GraphSizeError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
     canonicalize,
@@ -222,23 +223,83 @@ class TestOutcomeDigest:
                           "27b8c6ee537e63aebfd00a8dbd1420c4")
 
 
+def _count_calls(monkeypatch, names):
+    """Count calls to search-module attributes, through the module globals
+    that tracing hooks."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(search_mod, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(search_mod, name, counted)
+    return calls
+
+
 class TestRecordChecks:
+    CANONICALIZED = {(3, 3): 32, (3, 4): 549}
+
     @pytest.mark.parametrize("n,k,budget,recorded", [
         (3, 3, 10**9, 36), (3, 4, 20_000, 557)])
     def test_each_recorded_walk_is_canonicalized_and_verified(
             self, monkeypatch, n, k, budget, recorded):
-        """One canonicalize and one is_nos call per recorded walk, through
-        the module attributes that tracing hooks; counts recorded from the
-        search whose record step built a nega-reverse per walk, (3, 3)
-        again once every unused code became a first edge."""
-        calls = {"canonicalize": 0, "is_nos": 0}
-        for name in calls:
-            def counted(*args, _name=name, _inner=getattr(search_mod, name)):
-                calls[_name] += 1
-                return _inner(*args)
-            monkeypatch.setattr(search_mod, name, counted)
+        """One is_nos call per recorded walk, on the walk as found, and one
+        more on the returned sequence.  canonicalize runs only on ties at
+        the incumbent's length (the tying walk, and the incumbent once) and
+        on the result.  Walk counts recorded from the search whose record
+        step built a nega-reverse per walk, (3, 3) again once every unused
+        code became a first edge; canonicalize counts from the search that
+        first canonicalized lazily."""
+        calls = _count_calls(monkeypatch, ("canonicalize", "is_nos"))
         max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
-        assert calls == {"canonicalize": recorded, "is_nos": recorded}
+        assert calls == {"canonicalize": self.CANONICALIZED[n, k],
+                         "is_nos": recorded + 1}
+
+    @pytest.mark.parametrize("k", range(3, 14))
+    def test_one_canonicalize_per_order_two_search(self, monkeypatch, k):
+        """Each n = 2 search records only strictly longer walks until it
+        meets the bound, so its one canonical form is the result's."""
+        calls = _count_calls(monkeypatch, ("canonicalize",))
+        result = max_nos_search(SearchConfig(n=2, k=k))
+        assert (result.optimal, result.period) == (True, result.bound)
+        assert calls == {"canonicalize": 1}
+
+    @pytest.mark.parametrize("n,k,budget,seconds,exit_path", [
+        (3, 3, 10**9, None, "exhaustive"),
+        (2, 9, 10**9, None, "bound-met"),
+        (3, 4, 2000, None, "node-budget"),
+        (4, 3, 10**9, 0.001, "time-budget"),
+    ])
+    def test_result_is_canonical_and_verified(self, n, k, budget, seconds,
+                                              exit_path):
+        result = max_nos_search(SearchConfig(n=n, k=k, node_budget=budget,
+                                             time_budget=seconds))
+        reached = {
+            "exhaustive": result.optimal and result.period < result.bound,
+            "bound-met": result.optimal and result.period == result.bound,
+            "node-budget": not result.optimal and result.expansions == budget,
+            "time-budget": not result.optimal and result.expansions < budget,
+        }
+        assert reached[exit_path], result
+        seq = result.best_sequence
+        assert canonicalize(seq) == seq
+        v = is_nos(seq, n)
+        assert v.valid and v.period == result.period == len(seq)
+
+    def test_failing_walk_raises(self, monkeypatch):
+        """A recorded walk that fails is_nos stops the search."""
+        real = search_mod.is_nos
+        monkeypatch.setattr(search_mod, "is_nos", lambda seq, n:
+                            dataclasses.replace(real(seq, n), valid=False))
+        with pytest.raises(InternalConsistencyError, match="non-NOS walk"):
+            max_nos_search(SearchConfig(n=2, k=5))
+
+    def test_failing_result_raises(self, monkeypatch):
+        """The returned sequence is verified after its last canonicalize:
+        a canonical form that is not an NOS of the period stops the search."""
+        monkeypatch.setattr(search_mod, "canonicalize",
+                            lambda seq: PeriodicSequence((0,) * len(seq), seq.k))
+        with pytest.raises(InternalConsistencyError, match="length 10: 0,0,0"):
+            max_nos_search(SearchConfig(n=2, k=5))
 
 
 class TestBudgets:
