@@ -353,16 +353,18 @@ def search(n, k, budget, time_budget, certificate_path, output, fmt):
         "expansions": result.expansions,
         "bound": result.bound,
     }
+    found = result.best_sequence is not None
     text = (f"period {result.period} "
             f"({'optimal' if result.optimal else 'budget exhausted'}), "
             f"bound {result.bound}\n"
-            f"sequence {result.best_sequence}\n")
+            + (f"sequence {result.best_sequence}\n" if found
+               else "no sequence found\n"))
     _emit(payload, fmt, text, output)
     click.echo(f"elapsed {result.elapsed:.3f}s, "
                f"{result.expansions} expansions", err=True)
     if certificate_path is not None:
         certificate_path.write(search_mod.certify(result))
-    if result.best_sequence is None:
+    if not found:
         sys.exit(EXIT_INVALID)
     if not result.optimal:
         sys.exit(EXIT_BUDGET)

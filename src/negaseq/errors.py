@@ -27,4 +27,5 @@ class NotAnNosError(NegaseqError):
 
 
 class InternalConsistencyError(NegaseqError):
-    """A closed-form numerator came out odd, or two routes to a bound disagree."""
+    """A closed-form numerator came out odd, two routes to a bound disagree,
+    or the search found a non-NOS walk or a walk longer than the bound."""

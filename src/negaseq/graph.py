@@ -261,6 +261,8 @@ class BoundBreakdown:
     whose full degree is odd but whose degree in the sequence subgraph must
     be even.  The ix_* fields are the maximum possible overlaps between
     those sets (budget constants per regime, not per-instance measurements).
+    The edge cap is N less every exclusion plus every overlap, and the
+    period bound is half the cap; both are derived, never stored.
     """
 
     n: int
@@ -274,8 +276,15 @@ class BoundBreakdown:
     ix_pu: int = 0  # overlap of outgoing-p with incoming-u exclusions
     ix_uu: int = 0
     ix_pp: int = 0
-    resulting_edge_cap: int = 0
-    resulting_period_bound: int = 0
+
+    @property
+    def resulting_edge_cap(self) -> int:
+        return (self.N - self.u_out - self.u_in - self.p_out - self.p_in
+                + self.ix_up + self.ix_pu + self.ix_uu + self.ix_pp)
+
+    @property
+    def resulting_period_bound(self) -> int:
+        return self.resulting_edge_cap // 2
 
 
 def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
@@ -295,10 +304,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
 
     if n == 2:
         p_out = 0 if k_odd else 2
-        cap = N - p_out
-        return BoundBreakdown(n, k, N, p_out=p_out,
-                              resulting_edge_cap=cap,
-                              resulting_period_bound=cap // 2)
+        return BoundBreakdown(n, k, N, p_out=p_out)
 
     if n == 3:
         if k_odd:
@@ -308,10 +314,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
             # Uniform or alternating 2-tuples with entries in {0, k/2}.
             p = 4
             ix_pp = 2
-        cap = N - 2 * p + ix_pp
-        return BoundBreakdown(n, k, N, p_out=p, p_in=p, ix_pp=ix_pp,
-                              resulting_edge_cap=cap,
-                              resulting_period_bound=cap // 2)
+        return BoundBreakdown(n, k, N, p_out=p, p_in=p, ix_pp=ix_pp)
 
     if n == 4:
         u_out = count_class(TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS, 3, k)
@@ -319,10 +322,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
             p_out = negasym_non_uniform(3)  # k - 1
         else:
             p_out = count_class(TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC, 3, k)
-        cap = N - u_out - p_out
-        return BoundBreakdown(n, k, N, u_out=u_out, p_out=p_out,
-                              resulting_edge_cap=cap,
-                              resulting_period_bound=cap // 2)
+        return BoundBreakdown(n, k, N, u_out=u_out, p_out=p_out)
 
     n_odd = n % 2 == 1
     if n_odd and k_odd:
@@ -350,8 +350,5 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
         ix_up = ix_pu = 0
         ix_uu = k * (k - 1)
         ix_pp = 2
-    cap = N - 2 * u - 2 * p + ix_up + ix_pu + ix_uu + ix_pp
     return BoundBreakdown(n, k, N, u_out=u, u_in=u, p_out=p, p_in=p,
-                          ix_up=ix_up, ix_pu=ix_pu, ix_uu=ix_uu, ix_pp=ix_pp,
-                          resulting_edge_cap=cap,
-                          resulting_period_bound=cap // 2)
+                          ix_up=ix_up, ix_pu=ix_pu, ix_uu=ix_uu, ix_pp=ix_pp)

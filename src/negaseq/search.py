@@ -9,9 +9,11 @@ Every closed walk is generated only from the rotation that starts at its
 smallest edge code: each unused code in turn is a first edge, and later
 edges must exceed it.  The only per-code table is the used-edge bitmap,
 one byte per code; it starts with the negasymmetric codes (the
-non-edges) set, and they stay set.  The partner -e^R of a taken edge is
-read from the two half tables of `partner_halves` and kept on a stack
-until the edge is released.
+non-edges) set, and they stay set.  The walk is the only stack.  The
+partner -e^R of an edge is read from the two half tables of
+`partner_halves` when the edge is taken and again when it is released;
+after a release the scan goes on from the next code in the block of k
+out-edges of the edge's tail vertex.
 
 A branch is cut when the walk can never close: it has left its start
 vertex and every in-edge of that vertex is used or blocked by a used
@@ -19,7 +21,8 @@ partner.  A count of those unused in-edges is kept as edges are taken
 and released.  The whole search stops once the incumbent meets the
 proven period upper bound (no longer walk can exist), or once a budget
 runs out: the expansion count is tested inline after every expansion and
-the wall clock after every 4096th.
+the wall clock after every 4096th.  It stops where it is, without
+unwinding the walk.
 
 The returned sequence is the lexicographically least form, under
 rotation, nega-reverse and unit scaling (`canonicalize`), among the
@@ -174,54 +177,37 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
         # Unused in-edges of start: once none is left, the walk cannot close.
         start_in = sum(not used[y * num_vertices + start] for y in range(k))
         walk: list[int] = []
-        partners: list[int] = []  # -e^R of each edge on the walk
-        ptr: list[int] = []  # next out-edge offset to try at each depth
         e = e0
         while True:
-            if e >= 0:  # take e and its partner
+            if e >= 0:  # take e and its partner; try its head's out-edges
                 walk.append(e)
-                ptr.append(0)
                 p = low[e % K] + high[e // K]
-                partners.append(p)
                 used[e] = used[p] = 1
-                start_in -= (e % num_vertices == start) + (p % num_vertices == start)
-            else:  # release the last edge and its partner
+                v = e % num_vertices
+                start_in -= (v == start) + (p % num_vertices == start)
+                if v == start and len(walk) >= best_len:
+                    record(walk)
+                    if best_len >= bound:
+                        break  # no longer walk exists
+                lo = v * k
+                hi = lo + k if v == start or start_in else lo  # empty: cut
+            else:  # release the last edge and its partner; try its next sibling
                 e = walk.pop()
-                ptr.pop()
-                p = partners.pop()
+                p = low[e % K] + high[e // K]
                 used[e] = used[p] = 0
                 start_in += (e % num_vertices == start) + (p % num_vertices == start)
                 if not walk:
                     break
-            depth = len(walk)
-            d = depth - 1
-            v = walk[d] % num_vertices
-            x = ptr[d]
-            if x == 0:  # first visit of this node
-                if v == start and depth >= best_len:
-                    record(walk)
-                    if best_len >= bound:
-                        ptr[:] = [k] * depth  # unwind the whole walk
-                        x = k
-                if x == 0 and v != start and start_in == 0:
-                    x = k  # the walk can never close again
-            base = v * k
-            e = -1
-            while x < k:
-                cand = base + x
-                x += 1
-                if cand > e0 and not used[cand]:
-                    e = cand
-                    break
+                lo = e + 1
+                hi = e // k * k + k
+            e = used.find(0, lo if lo > e0 else e0 + 1, hi)
             if e >= 0:
-                ptr[d] = x
                 expansions += 1
                 if expansions >= node_budget or (
                         time_budget is not None and expansions % 4096 == 0
                         and time.monotonic() - started > time_budget):
                     aborted = True
-                    ptr[:] = [k] * depth  # unwind the whole walk
-                    e = -1
+                    break
 
     if best_seq is not None:
         if not best_canonical:

@@ -517,6 +517,18 @@ class TestSearch:
         assert "No such option" in result.output and flag in result.output
         assert "Traceback" not in result.output
 
+    def test_nothing_found_text(self, runner):
+        """A search that records no walk says so in words, not `None`,
+        keeps JSON's null, and exits 1."""
+        args = ["search", "--n", "3", "--k", "4", "--budget", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ("period 0 (budget exhausted), bound 25\n"
+                                 "no sequence found\n")
+        result = runner.invoke(main, args + ["--format", "json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["sequence"] is None
+
     def test_budget_exhausted_exits_three(self, runner):
         result = runner.invoke(
             main, ["search", "--n", "3", "--k", "4", "--budget", "2000"])

@@ -223,6 +223,26 @@ class TestOutcomeDigest:
                           "27b8c6ee537e63aebfd00a8dbd1420c4")
 
 
+class TestEveryAbortPoint:
+    """One SHA-256 over the outcome of (3, 3) at every node budget from 1
+    to 911, the expansion count of its exhaustive run: the search is
+    stopped once after each expansion, the last one included.
+
+    Recorded from the search that kept per-depth stacks of partners and
+    next out-edge offsets beside the walk and unwound them on a stop.
+    """
+
+    def test_outcomes_pinned(self):
+        parts = []
+        for budget in range(1, 912):
+            r = max_nos_search(SearchConfig(n=3, k=3, node_budget=budget))
+            parts.append(f"{budget} {r.period} {r.expansions} {r.optimal} "
+                         f"{r.best_sequence}\n")
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == ("835227db4469b495ece7cab0e2e0d230"
+                          "948b5c1a36bf9dc174b0e45f530b1d8b")
+
+
 def _count_calls(monkeypatch, names):
     """Count calls to search-module attributes, through the module globals
     that tracing hooks."""
