@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import GraphSizeError, NotAnNosError
@@ -27,6 +27,7 @@ from .tuples import (
     nega_reverse_code,
     nega_reverse_symbols,
     negasymmetric_codes,
+    partner_halves,
     structural_flags,
     window_codes,
 )
@@ -63,7 +64,7 @@ class ReducedGraph:
         pad = -self.num_codes % 8
         bits = bytearray(b"\xff" * ((self.num_codes + pad) // 8))
         bits[-1] = 0xFF << pad & 0xFF
-        for e in negasymmetric_codes(self.n, self.k):
+        for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
             bits[e >> 3] ^= 0x80 >> (e & 7)
         return bytes(bits)
 
@@ -77,7 +78,7 @@ class ReducedGraph:
     def edges(self) -> Iterator[int]:
         """Edge codes in increasing order: those `negasymmetric_codes` skips."""
         start = 0
-        for e in negasymmetric_codes(self.n, self.k):
+        for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
             yield from range(start, e)
             start = e + 1
         yield from range(start, self.num_codes)
@@ -166,12 +167,16 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     once S's m codes are known to be distinct.  Fewer keys than windows
     means a repeated edge; a scan in order then raises NotAnNosError on the
     first one, S before -S^R, naming the colliding windows: a duplicate
-    certifies that S is not an NOS of order n.
+    certifies that S is not an NOS of order n.  S is normalized only when
+    its stored word repeats a window, as a proper power w^r does.
     """
-    norm = seq.normalized()
+    codes_s = window_codes(seq.symbols, n, seq.k)
+    origin = dict(zip(codes_s, zip(repeat("S"), count())))
+    norm = seq if len(origin) == len(codes_s) else seq.normalized()
     k, m = norm.k, len(norm)
-    codes_s = window_codes(norm.symbols, n, k)
-    origin = dict(zip(codes_s, zip(repeat("S"), range(m))))
+    if m < len(codes_s):  # window i < p of w^r is window i of w
+        del codes_s[m:]
+        origin = dict(zip(codes_s, zip(repeat("S"), range(m))))
     streams = [("S", codes_s)]
     if len(origin) == m:
         codes_r = window_codes(nega_reverse_symbols(norm.symbols, k), n, k)

@@ -11,7 +11,8 @@ edges must exceed it.  The only per-code table is the used-edge bitmap,
 one byte per code; it starts with the negasymmetric codes (the
 non-edges) set, and they stay set.  The walk is the only stack.  The
 partner -e^R of an edge is read from the two half tables of
-`partner_halves` when the edge is taken and again when it is released;
+`partner_halves` (built once; their fixed points are the non-edges)
+when the edge is taken and again when it is released;
 after a release the scan goes on from the next code in the block of k
 out-edges of the edge's tail vertex.
 
@@ -27,9 +28,11 @@ unwinding the walk.
 The returned sequence is the lexicographically least form, under
 rotation, nega-reverse and unit scaling (`canonicalize`), among the
 longest walks recorded.  Each recorded walk is verified with `is_nos` as
-the search found it.  Canonical forms are computed only for a walk that
-ties the incumbent's length (and for the incumbent, once) and for the
-result, which `is_nos` checks again before it is returned.
+the search found it.  A walk that ties the incumbent's length is tested
+with `canonicalize(walk, incumbent)`, the incumbent canonicalized once
+beforehand, which builds a form only if it is below the incumbent.  The
+result, canonicalized if need be, is checked by `is_nos` again before it
+is returned.
 """
 
 from __future__ import annotations
@@ -79,38 +82,57 @@ def units(k: int) -> list[int]:
     return [u for u in range(1, k) if math.gcd(u, k) == 1]
 
 
-def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
+def canonicalize(seq: PeriodicSequence, below: Optional[PeriodicSequence] = None
+                 ) -> Optional[PeriodicSequence]:
     """Lexicographically least word in the orbit of seq under rotations,
-    the nega-reverse map and unit symbol multiplication.
+    the nega-reverse map and unit symbol multiplication.  Given `below`, a
+    word of seq's length, that word if it is less than `below`, else None.
 
     All three generators preserve the NOS property, so the orbit is a
     legitimate symmetry class for deduplication.  The unit images of -S^R
     are those of the plain reverse S^R, since u*(-S^R) = (-u)*S^R and -u
     is a unit, so S and S^R are mapped through one table per unit.
 
-    The least rotation of a variant starts at its smallest symbol, so only
-    those rotations are compared, and a variant whose smallest symbol is
-    above the incumbent's first cannot win at all.
+    Images are strings of equal-width symbol codes that compare like the
+    symbols.  The least rotation of an image starts at a longest run of its
+    least symbol, so an image is skipped when that symbol is above the
+    incumbent's first or no run of it is as long as the incumbent's leading
+    run, and only rotations that start with such a run are compared.
     """
-    best: Optional[tuple[int, ...]] = None
-    k = seq.k
-    m = len(seq.symbols)
-    scales = [[u * s % k for s in range(k)].__getitem__ for u in units(k)]
-    for variant in (seq.symbols, seq.symbols[::-1]):
-        for scale in scales:
-            mapped = tuple(map(scale, variant))
-            low = min(mapped)
-            if best is not None and low > best[0]:
-                continue
-            doubled = mapped + mapped
-            r = doubled.index(low)
-            while r < m:
-                rotated = doubled[r:r + m]
-                if best is None or rotated < best:
-                    best = rotated
-                r = doubled.index(low, r + 1)
-    assert best is not None
-    return PeriodicSequence(best, k)
+    k, symbols = seq.k, seq.symbols
+    variants = (symbols, symbols[::-1])
+    if k <= 0x110000:  # a symbol is the code point of its value
+        code, word = chr, "".join(map(chr, symbols))
+        images = (word.translate, word[::-1].translate)
+    else:  # a marker that no byte equals, then the value's bytes, big-endian
+        size = ((k - 1).bit_length() + 7) // 8
+        code = lambda x: "\u0100" + x.to_bytes(size, "big").decode("latin-1")
+        images = [lambda t, v=v: "".join(map(t.__getitem__, v)) for v in variants]
+    w = len(code(0))
+    end = len(symbols) * w
+    best = None if below is None else "".join(map(code, below.symbols))
+    found = None
+    present = set(symbols)
+    for u in units(k):
+        table = {s: code(u * s % k) for s in present}
+        low = run = min(table.values())
+        if best is not None and low > best[:w]:
+            continue
+        while best and best.startswith(run + low):  # the leading run of the best
+            run += low
+        for variant, image in zip(variants, images):
+            doubled = image(table) * 2
+            if run not in doubled:
+                break  # S^R has the runs of S
+            r = doubled.find(run)
+            while 0 <= r < end:
+                if best is None or doubled[r:r + end] < best:
+                    best, found = doubled[r:r + end], (u, variant, r // w)
+                r = doubled.find(run, r + 1)
+    if found is None:
+        return None
+    u, variant, r = found
+    return PeriodicSequence(tuple([u * s % k for s in variant[r:] + variant[:r]]), k)
 
 
 def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
@@ -132,7 +154,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     K, low, high = partner_halves(n, k)
     # Negasymmetric codes are no edges: they start used and stay used.
     used = bytearray(num_codes)
-    for e in negasymmetric_codes(n, k):
+    for e in negasymmetric_codes(K, low, high):
         used[e] = 1
     num_vertices = k ** (n - 1)
 
@@ -164,9 +186,9 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             return
         if not best_canonical:
             best_seq, best_canonical = canonicalize(best_seq), True
-        seq = canonicalize(seq)
-        if seq.symbols < best_seq.symbols:
-            best_seq = seq
+        better = canonicalize(seq, best_seq)
+        if better is not None:
+            best_seq = better
 
     for e0 in range(num_codes):
         if best_len >= bound or aborted:

@@ -194,13 +194,13 @@ def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
     return k**half, low, high
 
 
-def negasymmetric_codes(n: int, k: int) -> list[int]:
-    """The codes e == -e^R (the non-edges of the reduced graph), ascending.
+def negasymmetric_codes(K: int, low: list[int], high: list[int]) -> list[int]:
+    """The codes e == -e^R (the non-edges of the reduced graph), ascending,
+    from the tables (K, low, high) of `partner_halves`.
 
     The low half of a fixed point is the low half of its partner, so each
     high half hi has one candidate, lo = high[hi] % K.
     """
-    K, low, high = partner_halves(n, k)
     return [e for hi, p in enumerate(high)
             if low[p % K] + p == (e := hi * K + p % K)]
 

@@ -4,10 +4,11 @@ A candidate is one period of a k-ary sequence read cyclically.  Stored
 words longer than their minimal period are normalized before checking,
 and the verdict reports the minimal period.  Invalid verdicts carry the
 lexicographically smallest witnessing index pair, reproducible by direct
-window extraction.  One verdict on a stored length m costs O(sqrt(m))
-plus O(m) per prime factor step for the minimal period, and O(m)
-(expected) for the window codes of the period and its image and one
-hash set of them; a witness is searched for only after a hit.
+window extraction.  One verdict on a stored length m costs O(m)
+(expected) for the window codes of the word and its image and one hash
+set of them; only a word with a repeated window pays O(sqrt(m)) plus
+O(m) per prime factor step for its minimal period, and a witness is
+searched for only after a hit.
 """
 
 from __future__ import annotations
@@ -113,21 +114,24 @@ def _duplicate_witness(codes: list[int]) -> Witness:
 def _verdict(seq: PeriodicSequence, n: int, prop: str,
              image: Optional[Callable[[PeriodicSequence], tuple[int, ...]]] = None,
              kinds: Optional[tuple[str, str]] = None) -> Verdict:
-    """The one verifier body: O(m) expected after `minimal_period`.
+    """The one verifier body: O(m) expected, plus `minimal_period` when a
+    window repeats, as a proper period p repeats window i at i + p.
 
-    Builds one hash set of the period's rolling window codes.  Fewer than
-    m members is a duplicate.  Otherwise the window codes of `image` (the
-    period of -S^R for NOS, of S^R for OS) are tested against that set,
-    and only a hit is located: window t of the image is the image of
-    window (m - n - t) mod m.  `kinds` names the witness when a window
-    hits its own image and when another's.
+    Builds one hash set of the stored word's rolling window codes, the
+    first m of them the period's.  Fewer than m members is a duplicate.
+    Otherwise the window codes of `image` (the period of -S^R for NOS, of
+    S^R for OS) are tested against that set, and only a hit is located:
+    window t of the image is the image of window (m - n - t) mod m.
+    `kinds` names the witness when a window hits its own image and when
+    another's.
     """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
-    norm = seq.normalized()
-    m = len(norm)
-    codes = window_codes(norm.symbols, n, norm.k)
+    codes = window_codes(seq.symbols, n, seq.k)
     seen = set(codes)
+    norm = seq if len(seen) == len(codes) else seq.normalized()
+    m = len(norm)
+    del codes[m:]  # window i < p of w^r is window i of w
     witness = None
     if len(seen) < m:
         witness = _duplicate_witness(codes)

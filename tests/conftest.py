@@ -4,7 +4,7 @@ import signal
 import pytest
 
 # Seconds each phase of a test (setup, call, teardown) may run.  The slowest
-# test takes about 5 s; a search whose cut stops firing never finishes, and
+# test takes about 6 s; a search whose cut stops firing never finishes, and
 # must fail instead of hanging.  The limit wraps the setup phase too, because
 # module-scoped fixtures in test_acceptance.py run unbudgeted searches there.
 TEST_TIME_LIMIT = 60

@@ -3,9 +3,9 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from negaseq import search as search_mod
+from negaseq import search as search_mod, tuples as tuples_mod
 from negaseq.errors import GraphSizeError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
@@ -32,6 +32,63 @@ class TestConfig:
     def test_graph_size_refusal(self):
         with pytest.raises(GraphSizeError):
             max_nos_search(SearchConfig(n=10, k=9))
+
+
+def oracle_canonicalize(seq):
+    """The body `canonicalize` had before its tie test: the least rotation
+    of every unit image of S and S^R, found by comparing the rotations at
+    every occurrence of each image's least symbol.  Each unit is applied
+    per symbol, not through a table over all of Z_k, which for k above
+    0x10FFFF would need k entries per unit."""
+    best = None
+    k = seq.k
+    m = len(seq.symbols)
+    scales = [lambda s, u=u: u * s % k for u in units(k)]
+    for variant in (seq.symbols, seq.symbols[::-1]):
+        for scale in scales:
+            mapped = tuple(map(scale, variant))
+            low = min(mapped)
+            if best is not None and low > best[0]:
+                continue
+            doubled = mapped + mapped
+            r = doubled.index(low)
+            while r < m:
+                rotated = doubled[r:r + m]
+                if best is None or rotated < best:
+                    best = rotated
+                r = doubled.index(low, r + 1)
+    assert best is not None
+    return PeriodicSequence(best, k)
+
+
+# Above 0x10FFFF, the largest code point, with few units for its size:
+# 2^2 * 3 * 5 * 7 * 11 * 13 * 19 has 207360.
+HUGE_K = 1141140
+
+
+@st.composite
+def words(draw, k, m):
+    """A word of length m over Z_k: any word, one symbol repeated, a word
+    without 0, or a proper power of a shorter word."""
+    kind = draw(st.sampled_from(("any", "one-symbol", "no-zero", "power")))
+    size = m
+    if kind == "one-symbol":
+        size = 1
+    elif kind == "power" and m > 1:
+        size = draw(st.sampled_from([d for d in range(1, m) if m % d == 0]))
+    low = 1 if kind == "no-zero" else 0
+    base = draw(st.lists(st.integers(low, k - 1), min_size=size, max_size=size))
+    return tuple(base * (m // size))
+
+
+@st.composite
+def word_pairs(draw):
+    """(s, t) of one length and alphabet; t is s itself now and then."""
+    k = draw(st.integers(3, 13))
+    m = draw(st.integers(1, 40))
+    s = draw(words(k, m))
+    t = s if draw(st.booleans()) and draw(st.booleans()) else draw(words(k, m))
+    return PeriodicSequence(s, k), PeriodicSequence(t, k)
 
 
 class TestUnits:
@@ -85,6 +142,19 @@ class TestCanonicalize:
                     if best is None or rotated < best:
                         best = rotated
         assert canonicalize(seq) == PeriodicSequence(best, k)
+
+    @settings(max_examples=500, deadline=None)
+    @given(word_pairs())
+    @example((PeriodicSequence((HUGE_K - 1, 5) * 2, HUGE_K),
+              PeriodicSequence((1, 1, 2, 1), HUGE_K)))
+    def test_matches_oracle_and_tie_test_is_exact(self, pair):
+        """canonicalize(s) is the oracle's form, and canonicalize(s, b) for
+        a canonical b returns that form exactly when it is below b."""
+        s, t = pair
+        rep, below = oracle_canonicalize(s), oracle_canonicalize(t)
+        assert canonicalize(s) == rep
+        expected = rep if rep.symbols < below.symbols else None
+        assert canonicalize(s, below) == expected
 
 
 class TestExhaustiveSearch:
@@ -223,6 +293,27 @@ class TestOutcomeDigest:
                           "27b8c6ee537e63aebfd00a8dbd1420c4")
 
 
+class TestBudgetSweepDigest:
+    """One SHA-256 over the outcome of (3, 4) and (4, 3) at every 500th node
+    budget up to 20 000: 80 incumbents, each the least canonical form
+    among the longest walks recorded before the budget ran out.
+
+    Recorded from the search that canonicalized every tie in full and
+    compared the two forms.
+    """
+
+    def test_outcomes_pinned(self):
+        parts = []
+        for n, k in ((3, 4), (4, 3)):
+            for budget in range(500, 20_001, 500):
+                r = max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
+                parts.append(f"{n} {k} {budget} {r.period} {r.expansions} "
+                             f"{r.optimal} {r.best_sequence}\n")
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == ("0a2192d959ced24b7d2842f3a3f493dd"
+                          "e7f7c81aa29f85163499aa978da5f920")
+
+
 class TestEveryAbortPoint:
     """One SHA-256 over the outcome of (3, 3) at every node budget from 1
     to 911, the expansion count of its exhaustive run: the search is
@@ -256,10 +347,10 @@ def _count_calls(monkeypatch, names):
 
 
 class TestRecordChecks:
-    CANONICALIZED = {(3, 3): 32, (3, 4): 549}
+    CANONICALIZED = {(3, 3): 32, (3, 4): 549, (4, 3): 284}
 
     @pytest.mark.parametrize("n,k,budget,recorded", [
-        (3, 3, 10**9, 36), (3, 4, 20_000, 557)])
+        (3, 3, 10**9, 36), (3, 4, 20_000, 557), (4, 3, 20_000, 289)])
     def test_each_recorded_walk_is_canonicalized_and_verified(
             self, monkeypatch, n, k, budget, recorded):
         """One is_nos call per recorded walk, on the walk as found, and one
@@ -268,7 +359,8 @@ class TestRecordChecks:
         on the result.  Walk counts recorded from the search whose record
         step built a nega-reverse per walk, (3, 3) again once every unused
         code became a first edge; canonicalize counts from the search that
-        first canonicalized lazily."""
+        first canonicalized lazily.  (4, 3) was added, both counts recorded
+        from the search that canonicalized each tie in full."""
         calls = _count_calls(monkeypatch, ("canonicalize", "is_nos"))
         max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
         assert calls == {"canonicalize": self.CANONICALIZED[n, k],
@@ -282,6 +374,20 @@ class TestRecordChecks:
         result = max_nos_search(SearchConfig(n=2, k=k))
         assert (result.optimal, result.period) == (True, result.bound)
         assert calls == {"canonicalize": 1}
+
+    @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (5, 4)])
+    def test_partner_halves_built_once_per_search(self, monkeypatch, n, k):
+        """The search's partner tables also give its non-edges."""
+        calls = []
+
+        def counted(*args, _inner=tuples_mod.partner_halves):
+            calls.append(args)
+            return _inner(*args)
+
+        for module in (tuples_mod, search_mod):
+            monkeypatch.setattr(module, "partner_halves", counted)
+        max_nos_search(SearchConfig(n=n, k=k, node_budget=100))
+        assert calls == [(n, k)]
 
     @pytest.mark.parametrize("n,k,budget,seconds,exit_path", [
         (3, 3, 10**9, None, "exhaustive"),

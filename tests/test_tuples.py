@@ -90,7 +90,7 @@ class TestInvolutions:
     @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4, 5, 6)
                                      for k in (3, 4, 5, 6)])
     def test_negasymmetric_codes_match_scan(self, n, k):
-        codes = negasymmetric_codes(n, k)
+        codes = negasymmetric_codes(*partner_halves(n, k))
         assert codes == [e for e in range(k**n) if nega_reverse_code(e, n, k) == e]
         assert len(codes) == count_class(TupleClass.NEGASYMMETRIC, n, k)
 

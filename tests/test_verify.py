@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negaseq.errors import NotAnNosError
+from negaseq.graph import sequence_subgraph
 from negaseq.tuples import Word, encode, window_codes
 from negaseq.verify import (
     DUPLICATE_WINDOW,
@@ -39,6 +41,16 @@ def random_words(rng, count, max_m=40, max_n=5):
         elif i % 4 == 2:
             n = max(2, len(symbols) + rng.randint(0, 4))
         yield seq(symbols, k), n
+
+
+def power_words(rng, count):
+    """Seeded (sequence, n) pairs: a random word w stored as w^r, r = 1..4,
+    at orders up to 3 past |w|."""
+    for _ in range(count):
+        k = rng.choice([3, 4, 5, 6])
+        w = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
+        n = rng.randint(2, len(w) + 3)
+        yield seq(w * rng.randint(1, 4), k), n
 
 
 def minimal_period_loop(s):
@@ -229,6 +241,28 @@ class TestNaiveOracle:
             digest.update("".join(map(repr, verdicts)).encode())
         assert digest.hexdigest() == \
             "63ec9131a0779076092f6ac6a1c970d76106cd1609b0a3b3f05d73e077eaf2ea"
+
+    def test_powers_and_long_orders_pinned(self):
+        """Verdicts of all three verifiers and the outcome of
+        `sequence_subgraph` (its edge origins, or the NotAnNosError) on
+        stored powers w^r and orders above the period.  Both digests were
+        recorded from the code that normalized every word before computing
+        its window codes."""
+        rng = random.Random(20261018)
+        verdicts, subgraphs = hashlib.sha256(), hashlib.sha256()
+        for s, n in power_words(rng, 1000):
+            found = [check(s, n) for check in (is_window_sequence, is_nos, is_os)]
+            assert found[1] == is_nos_naive(s, n), (s, n)
+            verdicts.update("".join(map(repr, found)).encode())
+            try:
+                outcome = repr(sorted(sequence_subgraph(s, n).edge_origin.items()))
+            except NotAnNosError as err:
+                outcome = f"{err} {err.first} {err.second}"
+            subgraphs.update(outcome.encode())
+        assert verdicts.hexdigest() == \
+            "adc7b2c3d4a34ba82ac6fc7d7f85649254afb9f0fbfd4a9a4092423878af1f61"
+        assert subgraphs.hexdigest() == \
+            "eb84841ee0b8ec3d646632ffbce5433d0a60ca0a8eeb8896949d15120daae0db"
 
     def test_window_and_os_agree_with_extraction(self):
         rng = random.Random(9)
