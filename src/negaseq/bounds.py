@@ -11,9 +11,8 @@ best known periods) live in a CSV shipped with the package.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalConsistencyError
 from .graph import BoundBreakdown, excluded_edge_budget
@@ -28,8 +27,7 @@ def _regime(n: int, k: int) -> str:
     return f"{n_tag}-{k_tag}"
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     n: int
     k: int
     value: int
@@ -73,8 +71,7 @@ def nos_bound(n: int, k: int) -> BoundValue:
 
 # -- reference tables -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceEntry:
+class ReferenceEntry(NamedTuple):
     n: int
     k: int
     new_bound: int
@@ -128,8 +125,7 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
         raise ValueError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(NamedTuple):
     n: int
     k: int
     bound: int

@@ -8,6 +8,7 @@ for every subcommand.
 
 Each command imports the modules it runs inside its body, so a cold start
 compiles only those (`classify` and `count` need nothing past `tuples`).
+The records are NamedTuples or slot classes: defining them generates no code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ OUT_FILE = click.File("w", lazy=False)
 
 
 def _parse_tuple(text: str, k: int) -> tuples_mod.Word:
-    return tuples_mod.Word(tuple(int(p) for p in text.split(",")), k)
+    return tuples_mod.Word(tuples_mod.parse_symbols(text), k)
 
 
 def _parse_range(text: str) -> range:
@@ -270,10 +271,7 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
     _require_printable(n_range[-1], k_range[-1])
     reference = bounds_mod.load_reference_table(reference_csv)
     cells = bounds_mod.bound_table(n_range, k_range, reference)
-    payload = [{
-        "n": c.n, "k": c.k, "bound": c.bound, "regime": c.regime,
-        "reference": c.reference, "matches_reference": c.matches_reference,
-    } for c in cells]
+    payload = [c._asdict() for c in cells]
     with _printing(n_range[-1], k_range[-1]):
         text = bounds_mod.format_table(cells, flag_mismatches=check_reference)
         _emit(payload, fmt, text)
@@ -309,10 +307,7 @@ def verify(n, k, seed_file, prop, fmt):
         payload = {
             "sequence": str(seq), "n": n, "k": k, "property": prop,
             "valid": verdict.valid, "period": verdict.period,
-            "witness": None if verdict.witness is None else {
-                "i": verdict.witness.i, "j": verdict.witness.j,
-                "kind": verdict.witness.kind,
-            },
+            "witness": None if verdict.witness is None else verdict.witness._asdict(),
             "order_exceeds_period": verdict.order_exceeds_period,
         }
         if verdict.valid:

@@ -12,9 +12,8 @@ route, every code that `negasymmetric_codes` does not list, is behind
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import count, repeat
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
 from .errors import GraphSizeError, NotAnNosError
 from .tuples import (
@@ -99,8 +98,7 @@ class ReducedGraph:
         return Word(decode(vertex_code, self.n - 1, self.k), self.k)
 
 
-@dataclass(frozen=True)
-class VertexProfile:
+class VertexProfile(NamedTuple):
     label: Word
     in_degree: int
     out_degree: int
@@ -123,8 +121,7 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
                          flags=structural_flags(v))
 
 
-@dataclass
-class SequenceSubgraph:
+class SequenceSubgraph(NamedTuple):
     """B^-(S, n): the edges contributed by S and by -S^R.
 
     For a period-m NOS this has exactly 2m distinct edges, is closed under
@@ -134,10 +131,10 @@ class SequenceSubgraph:
 
     n: int
     k: int
-    in_degree: Counter = field(default_factory=Counter)
-    out_degree: Counter = field(default_factory=Counter)
+    in_degree: Counter
+    out_degree: Counter
     # edge code -> (stream, window index), stream in {"S", "-S^R"}
-    edge_origin: dict[int, tuple[str, int]] = field(default_factory=dict)
+    edge_origin: dict[int, tuple[str, int]]
 
     @property
     def edge_codes(self):
@@ -257,8 +254,7 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
 
 # -- excluded-edge budget -------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     """The edge budget behind the period bound for one (n, k).
 
     u_out/u_in count outgoing/incoming exclusions at semi-negasymmetric

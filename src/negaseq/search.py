@@ -39,36 +39,32 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import check_graph_params, negasymmetric_codes, partner_halves
+from .tuples import Record, check_graph_params, negasymmetric_codes, partner_halves
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
 MAX_CODES = 2**24
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    k: int
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: Optional[float] = None  # seconds of wall clock
+class SearchConfig(Record):
+    __slots__ = _fields = ("n", "k", "node_budget", "time_budget")
 
-    def __post_init__(self):
-        check_graph_params(self.n, self.k)
-        if self.node_budget <= 0:
+    def __init__(self, n: int, k: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                 time_budget: Optional[float] = None):  # seconds of wall clock
+        check_graph_params(n, k)
+        if node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if time_budget is not None and time_budget <= 0:
             raise ValueError("time budget must be positive")
+        super().__init__(n, k, node_budget, time_budget)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     config: SearchConfig
     best_sequence: Optional[PeriodicSequence]
     period: int

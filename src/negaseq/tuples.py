@@ -13,7 +13,6 @@ independently checkable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -22,24 +21,70 @@ from .errors import EnumerationBudgetError
 ENUMERATION_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Word:
-    """An n-tuple over Z_k.  Immutable; all operations return new words."""
+class Record:
+    """An immutable value with the slots named in `_fields`: equal and hashed
+    by their values, only against its own class, and shown as a constructor
+    call with keywords.  Copies and pickles are rebuilt through `__init__`."""
 
-    symbols: tuple[int, ...]
-    k: int
+    __slots__ = _fields = ()
 
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError(f"alphabet size must be at least 3, got k={self.k}"
-                             " (negating a symbol is the identity for k=2)")
-        if not self.symbols:
-            raise ValueError("word must be nonempty")
-        if min(self.symbols) < 0 or max(self.symbols) >= self.k:
-            raise ValueError(f"symbols {self.symbols} out of range for k={self.k}")
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Symbols(Record):
+    """A nonempty tuple of residues mod k >= 3: the shared part of `Word` and
+    `verify.PeriodicSequence`.  Each subclass names itself in the errors."""
+
+    __slots__ = _fields = ("symbols", "k")
+    _noun = _k_note = ""
+
+    def __init__(self, symbols: tuple[int, ...], k: int):
+        if k < 3:
+            raise ValueError(f"alphabet size must be at least 3, got k={k}{self._k_note}")
+        if not symbols:
+            raise ValueError(f"{self._noun} must be nonempty")
+        if min(symbols) < 0 or max(symbols) >= k:
+            raise ValueError(f"symbols {symbols} out of range for k={k}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "k", k)
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+    def __str__(self) -> str:
+        return ",".join(str(s) for s in self.symbols)
+
+
+class Word(Symbols):
+    """An n-tuple over Z_k.  Immutable; all operations return new words."""
+
+    __slots__ = ()
+    _noun, _k_note = "word", " (negating a symbol is the identity for k=2)"
 
     def __iter__(self):
         return iter(self.symbols)
@@ -103,14 +148,20 @@ class Word:
         """Base-k integer code, leftmost symbol most significant."""
         return encode(self.symbols, self.k)
 
-    def __str__(self) -> str:
-        return ",".join(str(s) for s in self.symbols)
-
 
 def check_graph_params(n: int, k: int) -> None:
     """The (n, k) domain of the graph, the bounds and the search."""
     if n < 2 or k < 3:
         raise ValueError(f"need n >= 2 and k >= 3, got n={n}, k={k}")
+
+
+def parse_symbols(text: str) -> tuple[int, ...]:
+    """Comma-separated symbols: ASCII digits after an optional '-', spaces around."""
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        if not (part.isascii() and part.removeprefix("-").isdigit()):
+            raise ValueError(f"symbol {part!r} is not a decimal number")
+    return tuple(map(int, parts))
 
 
 def structural_flags(w: Word) -> dict[str, bool]:

@@ -13,10 +13,9 @@ searched for only after a hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .tuples import Word, nega_reverse_symbols, window_codes
+from .tuples import Symbols, Word, nega_reverse_symbols, parse_symbols, window_codes
 
 DUPLICATE_WINDOW = "duplicate-window"
 NEGA_REVERSE_COLLISION = "nega-reverse-collision"
@@ -24,23 +23,11 @@ REVERSE_COLLISION = "reverse-collision"
 NEGASYMMETRIC_WINDOW = "negasymmetric-window"
 
 
-@dataclass(frozen=True)
-class PeriodicSequence:
+class PeriodicSequence(Symbols):
     """One period of a k-ary sequence, interpreted cyclically."""
 
-    symbols: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError(f"alphabet size must be at least 3, got k={self.k}")
-        if not self.symbols:
-            raise ValueError("sequence must be nonempty")
-        if min(self.symbols) < 0 or max(self.symbols) >= self.k:
-            raise ValueError(f"symbols {self.symbols} out of range for k={self.k}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
+    __slots__ = ()
+    _noun = "sequence"
 
     def window(self, i: int, n: int) -> Word:
         """The cyclic n-window starting at index i."""
@@ -58,19 +45,14 @@ class PeriodicSequence:
             return self
         return PeriodicSequence(self.symbols[:p], self.k)
 
-    def __str__(self) -> str:
-        return ",".join(str(s) for s in self.symbols)
 
-
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     i: int
     j: int
     kind: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     valid: bool
     property: str  # "window" | "nos" | "os"
     period: int
@@ -203,8 +185,7 @@ def is_os(seq: PeriodicSequence, n: int) -> Verdict:
 # and lines starting with '#' are ignored.
 
 def parse_sequence_line(line: str, k: int) -> PeriodicSequence:
-    symbols = tuple(int(part) for part in line.split(","))
-    return PeriodicSequence(symbols, k)
+    return PeriodicSequence(parse_symbols(line), k)
 
 
 def read_sequences(lines: Iterable[str], k: int) -> Iterator[PeriodicSequence]:

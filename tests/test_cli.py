@@ -71,6 +71,40 @@ class TestUsageErrors:
         assert line in result.output
         assert "Traceback" not in result.output
 
+    # Symbols are ASCII decimal digits: no underscore, no full-width digit.
+    @pytest.mark.parametrize("symbol", ["1_0", "\uff12"], ids=["underscore", "fullwidth"])
+    @pytest.mark.parametrize("args, stdin", [
+        (["verify", "--n", "2", "--k", "12"], "0,{},2\n"),
+        (["classify", "--k", "12", "--tuple", "0,{},2"], None),
+        (["profile", "--n", "4", "--k", "12", "--vertex", "0,{},2"], None),
+        (["export-dot", "--n", "2", "--k", "12", "--sequence", "0,{},2"], None),
+    ], ids=["verify", "classify", "profile", "export-dot"])
+    def test_malformed_symbol_is_usage_error(self, runner, args, stdin, symbol):
+        args = [a.format(symbol) for a in args]
+        stdin = stdin and stdin.format(symbol)
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 2
+        message = f"symbol {symbol!r} is not a decimal number"
+        assert (f"line 1: {message}" if stdin else f"Error: {message}") in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args, stdin, message", [
+        (["verify", "--n", "2", "--k", "3"], "0, 1 ,-1\n",
+         "line 1: symbols (0, 1, -1) out of range for k=3"),
+        (["verify", "--n", "2", "--k", "3"], "0,1,3\n",
+         "line 1: symbols (0, 1, 3) out of range for k=3"),
+        (["classify", "--k", "3", "--tuple", " -1,0"],
+         None, "symbols (-1, 0) out of range for k=3"),
+        (["profile", "--n", "3", "--k", "3", "--vertex", "0,3"],
+         None, "symbols (0, 3) out of range for k=3"),
+        (["export-dot", "--n", "2", "--k", "3", "--sequence", "0,1,-2"],
+         None, "symbols (0, 1, -2) out of range for k=3"),
+    ], ids=["verify-negative", "verify-range", "classify", "profile", "export-dot"])
+    def test_symbol_out_of_range_message(self, runner, args, stdin, message):
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 2
+        assert message in result.output
+
     @pytest.mark.parametrize("option, value", [
         ("--budget", "0"), ("--time-budget", "0"), ("--time-budget", "-1"),
     ])
@@ -192,9 +226,10 @@ def test_cli_import_loads_no_numpy():
 
 
 # The negaseq modules a cold start of each command loads: the command's own
-# modules and nothing else.  No command loads numpy.  `export-dot --sequence`
-# loads `verify` to parse the sequence.  Only a certificate loads hashlib
-# (and OpenSSL with it), for its graph hash.
+# modules and nothing else.  No command loads numpy or dataclasses (click
+# does not load it either).  `export-dot --sequence` loads `verify` to parse
+# the sequence.  Only a certificate loads hashlib (and OpenSSL with it), for
+# its graph hash.
 COLD_COMMANDS = {
     "classify": (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
     "count": (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"],
@@ -235,6 +270,7 @@ def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
         {"negaseq", "negaseq.cli", "negaseq.errors"}
         | {f"negaseq.{m}" for m in modules})
     assert "numpy" not in loaded
+    assert "dataclasses" not in loaded
     hashing = "--certificate" in args
     assert bool({"hashlib", "_hashlib"} & loaded) == hashing
     if hashing:  # the (3, 3) graph hash pinned in tests/test_search.py

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 
@@ -415,7 +414,7 @@ class TestRecordChecks:
         """A recorded walk that fails is_nos stops the search."""
         real = search_mod.is_nos
         monkeypatch.setattr(search_mod, "is_nos", lambda seq, n:
-                            dataclasses.replace(real(seq, n), valid=False))
+                            real(seq, n)._replace(valid=False))
         with pytest.raises(InternalConsistencyError, match="non-NOS walk"):
             max_nos_search(SearchConfig(n=2, k=5))
 

@@ -15,6 +15,7 @@ from negaseq.tuples import (
     enumerate_class,
     nega_reverse_code,
     negasymmetric_codes,
+    parse_symbols,
     partner_halves,
 )
 
@@ -218,6 +219,25 @@ def test_word_validation():
         Word((), 3)
     with pytest.raises(ValueError):
         Word((3,), 3)
+
+
+@pytest.mark.parametrize("text, symbols", [
+    ("0,1,2", (0, 1, 2)), (" 0, 12 ,3\t", (0, 12, 3)), ("007", (7,)),
+    ("-1,0", (-1, 0)),  # parsed; the word's range check refuses it
+])
+def test_parse_symbols(text, symbols):
+    assert parse_symbols(text) == symbols
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("1_0,2", "1_0"), ("0,\uff12", "\uff12"), ("0,\u0662", "\u0662"),
+    ("+1,2", "+1"), ("0x1", "0x1"), ("1,,2", ""), ("", ""), ("0,1,2,", ""),
+    ("-", "-"), ("--1", "--1"), ("1 2", "1 2"), ("1.0", "1.0"),
+])
+def test_parse_symbols_refuses_all_but_ascii_digits(text, bad):
+    with pytest.raises(ValueError) as info:
+        parse_symbols(text)
+    assert str(info.value) == f"symbol {bad!r} is not a decimal number"
 
 
 def oracle_predicate(cls, t):
