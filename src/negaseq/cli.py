@@ -50,30 +50,31 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _too_long(n: int, k: int, limit: int) -> ValueError:
+def _too_long(n: int, k: int, limit: int, power: int) -> ValueError:
     return ValueError(f"--n {n} with --k {k} gives a value of about "
-                      f"{int(n * math.log10(k))} digits, over this "
+                      f"{int(power * math.log10(k))} digits, over this "
                       f"interpreter's limit of {limit} digits for printing "
                       "an integer")
 
 
-def _require_printable(n: int, k: int) -> None:
-    """Refuse, before any arithmetic, an (n, k) whose edge count or bound
-    (each at least k^n/4) has more digits than the interpreter prints."""
+def _require_printable(n: int, k: int, power: int) -> None:
+    """Refuse, before any arithmetic, an (n, k) whose value, at least about
+    k^power (an edge count or a bound is at least k^n/4), has more digits
+    than the interpreter prints."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if limit and n * math.log10(k) >= limit + 2:
-        raise _too_long(n, k, limit)
+    if limit and power * math.log10(k) >= limit + 2:
+        raise _too_long(n, k, limit, power)
 
 
 @contextmanager
-def _printing(n: int, k: int):
+def _printing(n: int, k: int, power: int):
     """Word the interpreter's refusal to print a too-long integer (the band
     the estimate above lets through) like `_require_printable`.  Wrap only
     the printing: any ValueError raised there is that refusal."""
     try:
         yield
     except ValueError:
-        raise _too_long(n, k, sys.get_int_max_str_digits()) from None
+        raise _too_long(n, k, sys.get_int_max_str_digits(), power) from None
 
 
 class KParam(click.IntRange):
@@ -81,12 +82,11 @@ class KParam(click.IntRange):
         super().__init__(min=3)
 
     def convert(self, value, param, ctx):
-        try:
-            return super().convert(value, param, ctx)
-        except click.UsageError:
+        if click.INT.convert(value, param, ctx) < self.min:  # parses, or fails
             raise click.UsageError(
                 f"k must be at least 3 (got {value}): negating a symbol "
                 "is the identity map when k=2, so nothing here is defined")
+        return super().convert(value, param, ctx)
 
 
 K_OPTION = click.option("--k", type=KParam(), required=True,
@@ -172,14 +172,16 @@ def classify(k, tuple_text, fmt):
 def count(class_name, n, k, do_enumerate, fmt):
     """Closed-form count of a tuple class."""
     cls = tuples_mod.TupleClass(class_name)
+    power = n // 2 if tuples_mod.count_grows(cls) else 1
+    _require_printable(n, k, power)
     value = tuples_mod.count_class(cls, n, k)
     payload = {"class": class_name, "n": n, "k": k, "count": value}
     if do_enumerate:
         enumerated = sum(1 for _ in tuples_mod.enumerate_class(cls, n, k))
         payload["enumerated"] = enumerated
         payload["matches"] = enumerated == value
-    text = f"{value}\n"
-    _emit(payload, fmt, text)
+    with _printing(n, k, power):
+        _emit(payload, fmt, f"{value}\n")
     if do_enumerate and not payload["matches"]:
         sys.exit(EXIT_INVALID)
 
@@ -192,11 +194,11 @@ def edges(n, k, fmt):
     """Edge count of the reduced de Bruijn graph."""
     from . import graph as graph_mod
 
-    _require_printable(n, k)
+    _require_printable(n, k, n)
     value = graph_mod.edge_count_formula(n, k)
     payload = {"n": n, "k": k, "edges": value,
                "vertices": k ** (n - 1)}
-    with _printing(n, k):
+    with _printing(n, k, n):
         _emit(payload, fmt, f"{value}\n")
 
 
@@ -236,7 +238,7 @@ def bound(n, k, fmt):
     """New period upper bound for an order-n NOS over Z_k."""
     from . import bounds as bounds_mod
 
-    _require_printable(n, k)
+    _require_printable(n, k, n)
     b = bounds_mod.nos_bound(n, k)
     d = b.breakdown
     payload = {
@@ -249,7 +251,7 @@ def bound(n, k, fmt):
             "edge_cap": d.resulting_edge_cap,
         },
     }
-    with _printing(n, k):
+    with _printing(n, k, n):
         _emit(payload, fmt, f"{b.value}\n")
 
 
@@ -268,11 +270,11 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
     n_range, k_range = _parse_range(n_text), _parse_range(k_text)
     if n_range.start < 2 or k_range.start < 3:
         raise click.UsageError("ranges must satisfy n >= 2 and k >= 3")
-    _require_printable(n_range[-1], k_range[-1])
+    _require_printable(n_range[-1], k_range[-1], n_range[-1])
     reference = bounds_mod.load_reference_table(reference_csv)
     cells = bounds_mod.bound_table(n_range, k_range, reference)
     payload = [c._asdict() for c in cells]
-    with _printing(n_range[-1], k_range[-1]):
+    with _printing(n_range[-1], k_range[-1], n_range[-1]):
         text = bounds_mod.format_table(cells, flag_mismatches=check_reference)
         _emit(payload, fmt, text)
     if check_reference:

@@ -12,6 +12,7 @@ route, every code that `negasymmetric_codes` does not list, is behind
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import count, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
@@ -27,6 +28,7 @@ from .tuples import (
     nega_reverse_symbols,
     negasymmetric_codes,
     partner_halves,
+    printable_power,
     structural_flags,
     window_codes,
 )
@@ -46,22 +48,25 @@ def edge_count_formula(n: int, k: int) -> int:
 class ReducedGraph:
     """B_k^-(n-1): the de Bruijn graph minus negasymmetric edges.
 
-    Stores only (n, k); edges are tested on demand.  Immutable after
-    construction; safe to share between readers.
+    Stores only (n, k); edges are tested, and k^(n-1) vertices counted, on
+    demand.  Immutable after construction; safe to share between readers.
     """
 
     def __init__(self, n: int, k: int):
         check_graph_params(n, k)
         self.n = n
         self.k = k
-        self.num_vertices = k ** (n - 1)
-        self.num_codes = k**n
+
+    @cached_property
+    def num_vertices(self) -> int:
+        return self.k ** (self.n - 1)
 
     def edge_bitmap(self) -> bytes:
         """One bit per code, MSB first, set iff the code is an edge; the last
         byte is zero-padded.  Built anew on each call."""
-        pad = -self.num_codes % 8
-        bits = bytearray(b"\xff" * ((self.num_codes + pad) // 8))
+        num_codes = self.k**self.n
+        pad = -num_codes % 8
+        bits = bytearray(b"\xff" * ((num_codes + pad) // 8))
         bits[-1] = 0xFF << pad & 0xFF
         for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
             bits[e >> 3] ^= 0x80 >> (e & 7)
@@ -80,7 +85,7 @@ class ReducedGraph:
         for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
             yield from range(start, e)
             start = e + 1
-        yield from range(start, self.num_codes)
+        yield from range(start, self.k**self.n)
 
     def out_edges(self, vertex_code: int) -> Iterator[int]:
         base = vertex_code * self.k
@@ -224,18 +229,20 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
     `nega_sequence_subgraph` for B^-(S, n).  The edge count (closed form for
     the full graph) and the vertex count are each checked against
     `DOT_BUDGET` before any code is enumerated: a subgraph's few edges still
-    come with a statement for every one of the k^(n-1) vertices."""
+    come with a statement for every one of the k^(n-1) vertices.  A count
+    too long to print is named by the power of k it is near."""
     if isinstance(graph, ReducedGraph):
-        g, size = graph, edge_count_formula(graph.n, graph.k)
-        name = "reduced_debruijn"
+        g, name = graph, "reduced_debruijn"
+        size = printable_power(g.k, g.n) and edge_count_formula(g.n, g.k)
     else:
         g, size = ReducedGraph(graph.n, graph.k), graph.edge_count()
         name = "nega_sequence_subgraph"
-    for count, what in ((size, "edges"), (g.num_vertices, "vertices")):
-        if count > DOT_BUDGET:
-            raise GraphSizeError(
-                f"{count} {what} exceed the DOT export budget of {DOT_BUDGET}")
-    k = g.k
+    k, n = g.k, g.n
+    for count, what, huge in ((size, "edges", f"about {k}^{n}"),
+                              (printable_power(k, n - 1), "vertices", f"{k}^{n - 1}")):
+        if count is None or count > DOT_BUDGET:
+            raise GraphSizeError(f"{huge if count is None else count} {what} "
+                                 f"exceed the DOT export budget of {DOT_BUDGET}")
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
     names = []  # each vertex name decoded once; edges index into it

@@ -44,7 +44,8 @@ from typing import NamedTuple, Optional
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import Record, check_graph_params, negasymmetric_codes, partner_halves
+from .tuples import (Record, check_graph_params, negasymmetric_codes,
+                     partner_halves, printable_power)
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -139,10 +140,10 @@ def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
 def max_nos_search(cfg: SearchConfig) -> SearchResult:
     """Depth-first search over pair-disjoint closed walks in B_k^-(n-1)."""
     n, k = cfg.n, cfg.k
-    num_codes = k**n
-    if num_codes > MAX_CODES:
-        raise GraphSizeError(
-            f"k^n = {num_codes} exceeds the search bitmap budget of {MAX_CODES}")
+    num_codes = printable_power(k, n)
+    if num_codes is None or num_codes > MAX_CODES:
+        raise GraphSizeError(f"k^n = {num_codes or f'{k}^{n}'} exceeds the "
+                             f"search bitmap budget of {MAX_CODES}")
 
     started = time.monotonic()
     bound = nos_bound(n, k).value

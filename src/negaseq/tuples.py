@@ -4,17 +4,21 @@ A "word" here is a fixed-length tuple of residues mod k with the alphabet
 size carried alongside.  The structural predicates (negasymmetric, uniform,
 alternating, uniform-alternating, left/right semi-negasymmetric) drive both
 the reduced de Bruijn graph and the period-bound bookkeeping.  Each tuple
-class is one row of a table (`_CLASSES`): its smallest n and the predicates
-that must hold and must fail.  Every closed count has a brute-force
-enumeration oracle (`enumerate_class`) so each formula branch is
+class is one row of a table (`_CLASSES`): its smallest n, its closed-form
+count and the predicates that must hold and must fail.  The counts share
+two facts, each written once: the number e(k) of self-negating residues,
+and the sns count k * negasymmetric(n-1).  Every closed count has a
+brute-force enumeration oracle (`enumerate_class`), so each row is
 independently checkable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import EnumerationBudgetError
 
@@ -106,8 +110,7 @@ class Word(Symbols):
 
     def is_negasymmetric(self) -> bool:
         """True iff symbols[i] == -symbols[n-1-i] mod k for every i."""
-        n, k, s = len(self.symbols), self.k, self.symbols
-        return all(s[i] == (-s[n - 1 - i]) % k for i in range((n + 1) // 2))
+        return self.symbols == nega_reverse_symbols(self.symbols, self.k)
 
     def is_uniform(self) -> bool:
         return len(set(self.symbols)) == 1
@@ -116,29 +119,26 @@ class Word(Symbols):
         """Even positions carry one value, odd positions another, distinct."""
         self._require_length(2, "alternating")
         s = self.symbols
-        c0, c1 = s[0], s[1]
-        if c0 == c1:
-            return False
-        return all(s[i] == (c0 if i % 2 == 0 else c1) for i in range(2, len(s)))
+        return s[0] != s[1] and s[2:] == s[:-2]
 
     def is_uniform_alternating(self) -> bool:
         """Each symbol is the mod-k negation of its predecessor."""
         self._require_length(2, "uniform-alternating")
-        s, k = self.symbols, self.k
-        return all(s[i + 1] == (-s[i]) % k for i in range(len(s) - 1))
+        s = self.symbols
+        return s[1] == -s[0] % self.k and s[2:] == s[:-2]
 
     def is_left_sns(self) -> bool:
         """Prefix of length n-1 is negasymmetric (semi-negasymmetric on the left).
 
         Defined for n >= 1; a 1-tuple is vacuously left-sns (empty prefix).
         """
-        n, k, s = len(self.symbols), self.k, self.symbols
-        return all(s[i] == (-s[n - i - 2]) % k for i in range(n - 1))
+        prefix = self.symbols[:-1]
+        return prefix == nega_reverse_symbols(prefix, self.k)
 
     def is_right_sns(self) -> bool:
         """Suffix of length n-1 is negasymmetric."""
-        n, k, s = len(self.symbols), self.k, self.symbols
-        return all(s[i] == (-s[n - i]) % k for i in range(1, n))
+        suffix = self.symbols[1:]
+        return suffix == nega_reverse_symbols(suffix, self.k)
 
     def _require_length(self, minimum: int, what: str) -> None:
         if len(self.symbols) < minimum:
@@ -277,35 +277,62 @@ class TupleClass(Enum):
     NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS = "non-uniform-non-alternating-right-sns"
 
 
-# One row per class: (smallest n its closed form covers, predicates that must
-# hold, predicates that must fail).  "Non-uniform-alternating" means "not
-# uniform-alternating".  The non-alternating closed forms count alternating
-# (n-1)-tuples, which only exist for n >= 3.
+def _self_negating(k: int) -> int:
+    """e(k): the residues c with 2c == 0 mod k, 0 alone or 0 and k/2."""
+    return 2 - k % 2
+
+
+def _negasymmetric(n: int, k: int, e: int) -> int:
+    """A free first half, its nega-reverse, and for odd n a self-negating middle."""
+    return (e if n % 2 else 1) * k ** (n // 2)
+
+
+def _sns(n: int, k: int, e: int) -> int:
+    """A negasymmetric prefix of length n-1, then a free last symbol."""
+    return k * _negasymmetric(n - 1, k, e)
+
+
+# One row per class: the smallest n its closed form covers, whether the
+# count grows with n, the closed form in (n, k, e) with e = e(k) above, the
+# predicates that must hold and those that must fail.  "Non-uniform-
+# alternating" means "not uniform-alternating".  The non-alternating closed
+# forms count alternating (n-1)-tuples, which only exist for n >= 3.
 _CLASSES = {
-    TupleClass.NEGASYMMETRIC: (1, (Word.is_negasymmetric,), ()),
-    TupleClass.UNIFORM: (2, (Word.is_uniform,), ()),
-    TupleClass.ALTERNATING: (2, (Word.is_alternating,), ()),
-    TupleClass.UNIFORM_ALTERNATING: (2, (Word.is_uniform_alternating,), ()),
+    TupleClass.NEGASYMMETRIC: (1, True, _negasymmetric, (Word.is_negasymmetric,), ()),
+    TupleClass.UNIFORM: (2, False, lambda n, k, e: k, (Word.is_uniform,), ()),
+    TupleClass.ALTERNATING:
+        (2, False, lambda n, k, e: k * (k - 1), (Word.is_alternating,), ()),
+    TupleClass.UNIFORM_ALTERNATING:
+        (2, False, lambda n, k, e: k, (Word.is_uniform_alternating,), ()),
     TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
-        (2, (Word.is_uniform, Word.is_uniform_alternating), ()),
+        (2, False, lambda n, k, e: e,
+         (Word.is_uniform, Word.is_uniform_alternating), ()),
     TupleClass.UNIFORM_NEGASYMMETRIC:
-        (2, (Word.is_uniform, Word.is_negasymmetric), ()),
+        (2, False, lambda n, k, e: e, (Word.is_uniform, Word.is_negasymmetric), ()),
     TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
-        (2, (Word.is_uniform_alternating, Word.is_negasymmetric), ()),
+        (2, False, lambda n, k, e: e if n % 2 else k,
+         (Word.is_uniform_alternating, Word.is_negasymmetric), ()),
     TupleClass.ALTERNATING_NEGASYMMETRIC:
-        (2, (Word.is_alternating, Word.is_negasymmetric), ()),
-    TupleClass.LEFT_SNS: (2, (Word.is_left_sns,), ()),
-    TupleClass.RIGHT_SNS: (2, (Word.is_right_sns,), ()),
-    TupleClass.NON_UNIFORM_LEFT_SNS: (2, (Word.is_left_sns,), (Word.is_uniform,)),
-    TupleClass.NON_UNIFORM_RIGHT_SNS: (2, (Word.is_right_sns,), (Word.is_uniform,)),
+        (2, False, lambda n, k, e: 2 * e - 2 if n % 2 else k - e,
+         (Word.is_alternating, Word.is_negasymmetric), ()),
+    TupleClass.LEFT_SNS: (2, True, _sns, (Word.is_left_sns,), ()),
+    TupleClass.RIGHT_SNS: (2, True, _sns, (Word.is_right_sns,), ()),
+    TupleClass.NON_UNIFORM_LEFT_SNS: (2, True, lambda n, k, e: _sns(n, k, e) - e,
+                                      (Word.is_left_sns,), (Word.is_uniform,)),
+    TupleClass.NON_UNIFORM_RIGHT_SNS: (2, True, lambda n, k, e: _sns(n, k, e) - e,
+                                       (Word.is_right_sns,), (Word.is_uniform,)),
     TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
-        (2, (Word.is_left_sns,), (Word.is_uniform_alternating,)),
+        (2, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
+         (Word.is_left_sns,), (Word.is_uniform_alternating,)),
     TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
-        (2, (Word.is_right_sns,), (Word.is_uniform_alternating,)),
+        (2, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
+         (Word.is_right_sns,), (Word.is_uniform_alternating,)),
     TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
-        (3, (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating)),
+        (3, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
+         (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating)),
     TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
-        (3, (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating)),
+        (3, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
+         (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating)),
 }
 
 
@@ -317,8 +344,13 @@ def _row(cls: TupleClass) -> tuple:
 
 def class_predicate(cls: TupleClass, w: Word) -> bool:
     """True iff w is in cls: the class's row, evaluated in order."""
-    _, holds, fails = _row(cls)
+    *_, holds, fails = _row(cls)
     return all(p(w) for p in holds) and not any(p(w) for p in fails)
+
+
+def count_grows(cls: TupleClass) -> bool:
+    """Whether the class's count grows with n, as about k^(n/2), or is at most k^2."""
+    return _row(cls)[1]
 
 
 def _check_count_args(cls: TupleClass, n: int, k: int) -> None:
@@ -330,86 +362,27 @@ def _check_count_args(cls: TupleClass, n: int, k: int) -> None:
 
 
 def count_class(cls: TupleClass, n: int, k: int) -> int:
-    """Closed-form count of the class among all k-ary n-tuples.
-
-    Each parity branch is written out separately so it can be pinned
-    against the enumeration oracle on its own.
-    """
+    """Closed-form count of the class among all k-ary n-tuples: the formula
+    in the class's row, pinned against the enumeration oracle row by row."""
     _check_count_args(cls, n, k)
-    n_odd, k_odd = n % 2 == 1, k % 2 == 1
+    return _CLASSES[cls][2](n, k, _self_negating(k))
 
-    if cls is TupleClass.NEGASYMMETRIC:
-        if n_odd and k_odd:
-            return k ** ((n - 1) // 2)
-        if n_odd:
-            return 2 * k ** ((n - 1) // 2)
-        return k ** (n // 2)
 
-    if cls is TupleClass.UNIFORM:
-        return k
-
-    if cls is TupleClass.ALTERNATING:
-        return k * (k - 1)
-
-    if cls is TupleClass.UNIFORM_ALTERNATING:
-        return k
-
-    if cls is TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
-        return 1 if k_odd else 2
-
-    if cls is TupleClass.UNIFORM_NEGASYMMETRIC:
-        return 1 if k_odd else 2
-
-    if cls is TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
-        if n_odd:
-            return 1 if k_odd else 2
-        return k
-
-    if cls is TupleClass.ALTERNATING_NEGASYMMETRIC:
-        if n_odd:
-            return 0 if k_odd else 2
-        return (k - 1) if k_odd else (k - 2)
-
-    if cls in (TupleClass.LEFT_SNS, TupleClass.RIGHT_SNS):
-        if n_odd:
-            return k ** ((n + 1) // 2)
-        if k_odd:
-            return k ** (n // 2)
-        return 2 * k ** (n // 2)
-
-    if cls in (TupleClass.NON_UNIFORM_LEFT_SNS, TupleClass.NON_UNIFORM_RIGHT_SNS):
-        if n_odd and k_odd:
-            return k ** ((n + 1) // 2) - 1
-        if n_odd:
-            return k ** ((n + 1) // 2) - 2
-        if k_odd:
-            return k ** (n // 2) - 1
-        return 2 * k ** (n // 2) - 2
-
-    if cls in (TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS,
-               TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS):
-        if n_odd:
-            return k ** ((n + 1) // 2) - k
-        if k_odd:
-            return k ** (n // 2) - 1
-        return 2 * k ** (n // 2) - 2
-
-    if cls in (TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS,
-               TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS):
-        if n_odd:
-            return k ** ((n + 1) // 2) - k
-        if k_odd:
-            return k ** (n // 2) - 1
-        return 2 * k ** (n // 2) - 4
+def printable_power(k: int, n: int) -> Optional[int]:
+    """k^n, or, without working it out, None if it has more digits than the
+    interpreter prints (4300, its default, when the limit is off)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    return k**n if n * math.log10(k) < limit else None
 
 
 def enumerate_class(cls: TupleClass, n: int, k: int) -> Iterator[Word]:
     """Brute-force oracle: yield, in lexicographic order, the n-tuples in cls.
     Refuses k^n above `ENUMERATION_BUDGET` before it yields a word."""
     _check_count_args(cls, n, k)
-    if k ** n > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"k^n = {k**n} exceeds the enumeration "
-                                     f"budget of {ENUMERATION_BUDGET}")
+    size = printable_power(k, n)
+    if size is None or size > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"k^n = {size or f'{k}^{n}'} exceeds the "
+                                     f"enumeration budget of {ENUMERATION_BUDGET}")
     for symbols in itertools.product(range(k), repeat=n):
         w = Word(symbols, k)
         if class_predicate(cls, w):

@@ -41,6 +41,13 @@ class TestUsageErrors:
         assert result.exit_code == 2
         assert "k must be at least 3" in result.output
 
+    @pytest.mark.parametrize("k", ["abc", "3.5"])
+    def test_k_not_an_integer_keeps_clicks_message(self, runner, k):
+        result = runner.invoke(main, ["bound", "--n", "2", "--k", k])
+        assert result.exit_code == 2
+        assert f"Invalid value for '--k': {k!r} is not a valid integer." in result.output
+        assert "k must be at least 3" not in result.output
+
     def test_bad_range(self, runner):
         result = runner.invoke(main, ["table", "--n", "x..y", "--k", "3..4"])
         assert result.exit_code == 2
@@ -126,7 +133,21 @@ class TestExitContract:
          3, "1952500 edges exceed the DOT export budget of 100000\n"),
         (["export-dot", "--n", "2", "--k", "3", "--sequence", "0,1,2"],
          1, "window -S^R[0] duplicates S[1]: not an order-2 NOS\n"),
-    ], ids=["count-enumerate", "search", "export-dot", "export-dot-not-nos"])
+        # Counts past the interpreter's digit limit are named by their power,
+        # and k^n is not worked out to test it.
+        (["count", "--class", "left-sns", "--n", "5000", "--k", "9", "--enumerate"],
+         3, "k^n = 9^5000 exceeds the enumeration budget of 10000000\n"),
+        (["search", "--n", "5000", "--k", "9"],
+         3, "k^n = 9^5000 exceeds the search bitmap budget of 16777216\n"),
+        (["search", "--n", "100000000", "--k", "9"],
+         3, "k^n = 9^100000000 exceeds the search bitmap budget of 16777216\n"),
+        (["export-dot", "--n", "5000", "--k", "9"],
+         3, "about 9^5000 edges exceed the DOT export budget of 100000\n"),
+        (["export-dot", "--n", "100000000", "--k", "9"],
+         3, "about 9^100000000 edges exceed the DOT export budget of 100000\n"),
+    ], ids=["count-enumerate", "search", "export-dot", "export-dot-not-nos",
+            "count-enumerate-5000", "search-5000", "search-1e8",
+            "export-dot-5000", "export-dot-1e8"])
     def test_library_error_exit_code_and_message(self, runner, args, code, message):
         result = runner.invoke(main, args)
         assert result.exit_code == code
@@ -151,7 +172,10 @@ class TestExitContract:
         (["edges", "--n", "10000000", "--k", "9"], 10000000, 9),
         (["bound", "--n", "5000", "--k", "9", "--format", "json"], 5000, 9),
         (["table", "--n", "2..5000", "--k", "3..9"], 5000, 9),
-    ], ids=["edges", "bound", "table"])
+        (["count", "--class", "negasymmetric", "--n", "10000", "--k", "9"], 10000, 9),
+        (["count", "--class", "non-uniform-left-sns", "--n", "200000000", "--k", "9",
+          "--format", "json"], 200000000, 9),
+    ], ids=["edges", "bound", "table", "count", "count-2e8"])
     def test_too_large_to_print_names_options_and_limit(self, runner, args, n, k):
         limit = sys.get_int_max_str_digits()
         if limit == 0:
@@ -182,6 +206,24 @@ class TestExitContract:
         assert (f"Error: --n {n} with --k 10 gives a value of about {n} digits, "
                 f"over this interpreter's limit of {limit} digits") in result.output
         assert "set_int_max_str_digits" not in result.output
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints integers of any size")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_just_past_the_digit_limit_names_options_and_limit(
+            self, runner, fmt):
+        # left-sns at odd n and k = 10 is 10^((n+1)/2): at n = 2*limit + 1 it
+        # has limit + 2 digits, under the up-front estimate of about k^(n//2).
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the digit limit is switched off")
+        n = 2 * limit + 1
+        result = runner.invoke(main, ["count", "--class", "left-sns", "--n", str(n),
+                                      "--k", "10", "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert (f"Error: --n {n} with --k 10 gives a value of about {limit} digits, "
+                f"over this interpreter's limit of {limit} digits") in result.output
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter prints integers of any size")
@@ -370,6 +412,18 @@ class TestCount:
             main, ["count", "--class", "bogus", "--n", "3", "--k", "3"])
         assert result.exit_code == 2
 
+    # Each class whose count does not grow with n, at n = 10^9 and k = 9.
+    @pytest.mark.parametrize("class_name, value", [
+        ("uniform", 9), ("alternating", 72), ("uniform-alternating", 9),
+        ("uniform-and-uniform-alternating", 1), ("uniform-negasymmetric", 1),
+        ("uniform-alternating-negasymmetric", 9), ("alternating-negasymmetric", 8),
+    ])
+    def test_constant_count_answers_at_any_n(self, runner, class_name, value):
+        result = runner.invoke(main, ["count", "--class", class_name,
+                                      "--n", "1000000000", "--k", "9"])
+        assert result.exit_code == 0
+        assert result.output == f"{value}\n"
+
     def test_n_below_minimum_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["count", "--class", "uniform", "--n", "1", "--k", "3"])
@@ -484,6 +538,14 @@ class TestEdgesAndProfile:
         result = runner.invoke(
             main, ["profile", "--n", "3", "--k", "3", "--vertex", "0,0,0"])
         assert result.exit_code == 2
+
+    def test_profile_wrong_length_at_huge_n(self, runner):
+        # The graph does not work out 9^(10^8 - 1) before it checks the label.
+        result = runner.invoke(
+            main, ["profile", "--n", "100000000", "--k", "9", "--vertex", "0"])
+        assert result.exit_code == 2
+        assert ("Error: vertex label must have length 99999999 over Z_9, got 0"
+                in result.output)
 
 
 class TestVerify:
@@ -646,7 +708,7 @@ class TestExportDot:
 
 GARBAGE = st.sampled_from(["", " ", "x", "-", "1.5", "0x3", "3e1", "1,,2",
                            "2..", "..", "..3", "3..x", "\u0663"])
-SMALL_N = st.one_of(st.integers(-1, 5).map(str), GARBAGE)
+SMALL_N = st.one_of(st.integers(-1, 5).map(str), st.just("5000"), GARBAGE)
 SMALL_K = st.one_of(st.integers(0, 7).map(str), GARBAGE)
 SYMBOLS = st.one_of(st.lists(st.integers(-1, 8), max_size=7).map(
     lambda xs: ",".join(map(str, xs))), GARBAGE)

@@ -71,6 +71,10 @@ class TestDegrees:
         g = ReducedGraph(3, 3)
         with pytest.raises(ValueError):
             vertex_profile(g, Word((0, 1, 2), 3))
+        # The graph works out k^(n-1) only when asked: n = 10^8 is refused at once.
+        with pytest.raises(ValueError, match="^vertex label must have length "
+                           "99999999 over Z_9, got 0$"):
+            vertex_profile(ReducedGraph(10**8, 9), Word((0,), 9))
 
 
 class TestStructure:
@@ -253,6 +257,18 @@ class TestDotExport:
         with pytest.raises(GraphSizeError, match="exceed the DOT export budget"):
             export_dot(ReducedGraph(12, 4))
 
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: ReducedGraph(5000, 9), "about 9^5000 edges"),
+        (lambda: ReducedGraph(10**8, 9), "about 9^100000000 edges"),
+        (lambda: sequence_subgraph(PeriodicSequence((0, 1, 1), 9), 5000),
+         "9^4999 vertices"),
+    ], ids=["graph-5000", "graph-1e8", "subgraph-5000"])
+    def test_budget_names_a_huge_count_by_its_power(self, make, count):
+        # Past the interpreter's digit limit the counts are not worked out.
+        with pytest.raises(GraphSizeError) as err:
+            export_dot(make())
+        assert str(err.value) == f"{count} exceed the DOT export budget of 100000"
 
     def test_subgraph_vertex_count_is_budgeted(self, monkeypatch):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 3)

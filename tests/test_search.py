@@ -32,6 +32,14 @@ class TestConfig:
         with pytest.raises(GraphSizeError):
             max_nos_search(SearchConfig(n=10, k=9))
 
+    @pytest.mark.parametrize("n", [5000, 10**8])
+    def test_graph_size_refusal_names_a_huge_power(self, n):
+        # k^n past the interpreter's digit limit is not worked out.
+        with pytest.raises(GraphSizeError) as err:
+            max_nos_search(SearchConfig(n=n, k=9))
+        assert str(err.value) == (f"k^n = 9^{n} exceeds the search bitmap "
+                                  "budget of 16777216")
+
 
 def oracle_canonicalize(seq):
     """The body `canonicalize` had before its tie test: the least rotation

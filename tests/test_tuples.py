@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,10 @@ from negaseq.tuples import (
     enumerate_class,
     nega_reverse_code,
     negasymmetric_codes,
+    count_grows,
     parse_symbols,
     partner_halves,
+    printable_power,
 )
 
 
@@ -190,6 +193,14 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_class(TupleClass.NEGASYMMETRIC, 3, 2)
 
+    def test_enumeration_budget_names_a_huge_power(self):
+        # k^n is tested without being worked out: n = 10^8 is refused at once.
+        for n, shown in ((5000, "9^5000"), (10**8, "9^100000000")):
+            with pytest.raises(EnumerationBudgetError) as err:
+                next(enumerate_class(TupleClass.LEFT_SNS, n, 9))
+            assert str(err.value) == (f"k^n = {shown} exceeds the enumeration "
+                                      "budget of 10000000")
+
     def test_enumeration_order_and_budget(self, monkeypatch):
         got = [t.symbols for t in enumerate_class(TupleClass.NEGASYMMETRIC, 2, 3)]
         assert got == [(0, 0), (1, 2), (2, 1)]
@@ -305,3 +316,107 @@ def test_class_predicate_rejects_non_class(cls):
         count_class(cls, 3, 3)
     with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
         list(enumerate_class(cls, 3, 3))
+
+
+def oracle_count(cls, n, k):
+    """The per-class parity-branch chain that preceded the count column of
+    the class table, with the argument checks it ran first."""
+    if k < 3:
+        raise ValueError(f"alphabet size must be at least 3, got k={k}")
+    if n < TestCounts.MIN_N[cls]:
+        raise ValueError(f"{cls.value} requires n >= {TestCounts.MIN_N[cls]}, got n={n}")
+    n_odd, k_odd = n % 2 == 1, k % 2 == 1
+    if cls is TupleClass.NEGASYMMETRIC:
+        if n_odd and k_odd:
+            return k ** ((n - 1) // 2)
+        if n_odd:
+            return 2 * k ** ((n - 1) // 2)
+        return k ** (n // 2)
+    if cls is TupleClass.UNIFORM:
+        return k
+    if cls is TupleClass.ALTERNATING:
+        return k * (k - 1)
+    if cls is TupleClass.UNIFORM_ALTERNATING:
+        return k
+    if cls is TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
+        return 1 if k_odd else 2
+    if cls is TupleClass.UNIFORM_NEGASYMMETRIC:
+        return 1 if k_odd else 2
+    if cls is TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
+        if n_odd:
+            return 1 if k_odd else 2
+        return k
+    if cls is TupleClass.ALTERNATING_NEGASYMMETRIC:
+        if n_odd:
+            return 0 if k_odd else 2
+        return (k - 1) if k_odd else (k - 2)
+    if cls in (TupleClass.LEFT_SNS, TupleClass.RIGHT_SNS):
+        if n_odd:
+            return k ** ((n + 1) // 2)
+        if k_odd:
+            return k ** (n // 2)
+        return 2 * k ** (n // 2)
+    if cls in (TupleClass.NON_UNIFORM_LEFT_SNS, TupleClass.NON_UNIFORM_RIGHT_SNS):
+        if n_odd and k_odd:
+            return k ** ((n + 1) // 2) - 1
+        if n_odd:
+            return k ** ((n + 1) // 2) - 2
+        if k_odd:
+            return k ** (n // 2) - 1
+        return 2 * k ** (n // 2) - 2
+    if cls in (TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS,
+               TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS):
+        if n_odd:
+            return k ** ((n + 1) // 2) - k
+        if k_odd:
+            return k ** (n // 2) - 1
+        return 2 * k ** (n // 2) - 2
+    if cls in (TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS,
+               TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS):
+        if n_odd:
+            return k ** ((n + 1) // 2) - k
+        if k_odd:
+            return k ** (n // 2) - 1
+        return 2 * k ** (n // 2) - 4
+    raise ValueError(f"unknown class {cls}")
+
+
+def count_outcome(count, cls, n, k):
+    """The count, or the text of the ValueError it raises."""
+    try:
+        return count(cls, n, k)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("cls", list(TupleClass), ids=lambda cls: cls.value)
+def test_count_class_matches_oracle(cls):
+    # n = 1 is below every class's smallest n but negasymmetric's.
+    for n in range(1, 41):
+        for k in range(3, 61):
+            assert count_outcome(count_class, cls, n, k) == \
+                count_outcome(oracle_count, cls, n, k), (cls, n, k)
+
+
+@pytest.mark.parametrize("cls", list(TupleClass), ids=lambda cls: cls.value)
+def test_count_grows_tells_the_growing_counts(cls):
+    # A count that does not grow is at most k^2 at every n; one that grows
+    # is at least about k^(n//2), which the CLI's print guard relies on.
+    for k in (3, 4, 9, 10):
+        counts = [count_class(cls, n, k) for n in range(3, 41)]
+        if count_grows(cls):
+            assert all(c >= k ** (n // 2) - k for n, c in enumerate(counts, start=3))
+        else:
+            assert max(counts) <= k * k
+    if not count_grows(cls):  # at once, at any n
+        assert count_class(cls, 10**9, 9) <= 81
+
+
+def test_printable_power_stops_at_the_digit_limit(monkeypatch):
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    assert printable_power(10, limit - 1) == 10 ** (limit - 1)  # limit digits
+    assert printable_power(10, limit) is None
+    assert printable_power(9, 10**12) is None  # decided without the power
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    assert printable_power(10, 4299) == 10**4299
+    assert printable_power(10, 4300) is None
