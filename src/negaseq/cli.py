@@ -31,10 +31,6 @@ FORMATS = click.Choice(["text", "json"])
 OUT_FILE = click.File("w", lazy=False)
 
 
-def _parse_tuple(text: str, k: int) -> tuples_mod.Word:
-    return tuples_mod.Word(tuples_mod.parse_symbols(text), k)
-
-
 def _parse_range(text: str) -> range:
     """Inclusive 'a..b' range, or a single value 'a'."""
     if ".." in text:
@@ -150,7 +146,7 @@ main.command_class = Command  # so each subcommand below maps library errors
 @FORMAT_OPTION
 def classify(k, tuple_text, fmt):
     """Classification flags for one tuple."""
-    w = _parse_tuple(tuple_text, k)
+    w = tuples_mod.Word(tuples_mod.parse_symbols(tuple_text), k)
     flags = tuples_mod.structural_flags(w)
     if len(w) < 2:  # a 1-tuple's sns flags are vacuous; report them undefined
         flags.update(left_sns=None, right_sns=None)
@@ -213,7 +209,7 @@ def profile(n, k, vertex, fmt):
     from . import graph as graph_mod
 
     g = graph_mod.ReducedGraph(n, k)
-    w = _parse_tuple(vertex, k)
+    w = tuples_mod.Word(tuples_mod.parse_symbols(vertex), k)
     p = graph_mod.vertex_profile(g, w)
     in_parity, out_parity = ("odd" if d % 2 else "even"
                              for d in (p.in_degree, p.out_degree))
@@ -240,17 +236,11 @@ def bound(n, k, fmt):
 
     _require_printable(n, k, n)
     b = bounds_mod.nos_bound(n, k)
-    d = b.breakdown
-    payload = {
-        "n": n, "k": k, "bound": b.value, "regime": b.regime,
-        "breakdown": {
-            "N": d.N, "u_out": d.u_out, "u_in": d.u_in,
-            "p_out": d.p_out, "p_in": d.p_in,
-            "ix_up": d.ix_up, "ix_pu": d.ix_pu,
-            "ix_uu": d.ix_uu, "ix_pp": d.ix_pp,
-            "edge_cap": d.resulting_edge_cap,
-        },
-    }
+    breakdown = b.breakdown._asdict()
+    del breakdown["n"], breakdown["k"]
+    breakdown["edge_cap"] = b.breakdown.resulting_edge_cap
+    payload = {"n": n, "k": k, "bound": b.value, "regime": b.regime,
+               "breakdown": breakdown}
     with _printing(n, k, n):
         _emit(payload, fmt, f"{b.value}\n")
 
@@ -383,7 +373,8 @@ def export_dot(n, k, sequence_text, output):
     else:
         from . import verify as verify_mod
 
-        seq = verify_mod.parse_sequence_line(sequence_text, k)
+        seq = verify_mod.PeriodicSequence(tuples_mod.parse_symbols(sequence_text), k)
+        graph_mod.check_dot_budget(n, k)  # before any window of order n is coded
         sub = graph_mod.sequence_subgraph(seq, n)
         text = graph_mod.export_dot(sub)
     click.echo(text, nl=False, file=output)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import count, repeat
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Union
 
 from .errors import GraphSizeError, NotAnNosError
 from .tuples import (
@@ -23,7 +23,6 @@ from .tuples import (
     check_graph_params,
     count_class,
     decode,
-    is_negasymmetric_code,
     nega_reverse_code,
     nega_reverse_symbols,
     negasymmetric_codes,
@@ -73,7 +72,7 @@ class ReducedGraph:
         return bytes(bits)
 
     def has_edge_code(self, code: int) -> bool:
-        return not is_negasymmetric_code(code, self.n, self.k)
+        return nega_reverse_code(code, self.n, self.k) != code
 
     def edge_count(self) -> int:
         """Count edges from the bitmap (independent of the formula)."""
@@ -150,11 +149,10 @@ class SequenceSubgraph(NamedTuple):
         return len(self.edge_origin)
 
     def is_balanced(self) -> bool:
-        vertices = set(self.in_degree) | set(self.out_degree)
-        return all(self.in_degree[v] == self.out_degree[v] for v in vertices)
+        return self.in_degree == self.out_degree  # a missing key counts as 0
 
     def has_negasymmetric_edge(self) -> bool:
-        return any(is_negasymmetric_code(c, self.n, self.k) for c in self.edge_codes)
+        return any(nega_reverse_code(c, self.n, self.k) == c for c in self.edge_codes)
 
     def closed_under_nega_reverse(self) -> bool:
         return all(nega_reverse_code(c, self.n, self.k) in self.edge_codes
@@ -224,13 +222,22 @@ def _vertex_attrs(flags: dict[str, bool]) -> str:
     return f'style=filled fillcolor="{color}"'
 
 
+def check_dot_budget(n: int, k: int, edges: Optional[int] = 0) -> None:
+    """Refuse, in O(1) at any n, edges (None: about k^n) and then k^(n-1)
+    vertices over `DOT_BUDGET`; a count too long to print is named by its power."""
+    for count, what, huge in ((edges, "edges", f"about {k}^{n}"),
+                              (printable_power(k, n - 1), "vertices", f"{k}^{n - 1}")):
+        if count is None or count > DOT_BUDGET:
+            raise GraphSizeError(f"{huge if count is None else count} {what} "
+                                 f"exceed the DOT export budget of {DOT_BUDGET}")
+
+
 def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
     """DOT text of the graph: digraph `reduced_debruijn` for the full graph,
-    `nega_sequence_subgraph` for B^-(S, n).  The edge count (closed form for
-    the full graph) and the vertex count are each checked against
-    `DOT_BUDGET` before any code is enumerated: a subgraph's few edges still
-    come with a statement for every one of the k^(n-1) vertices.  A count
-    too long to print is named by the power of k it is near."""
+    `nega_sequence_subgraph` for B^-(S, n).  `check_dot_budget` runs on the
+    edge count (closed form for the full graph) before any code is
+    enumerated: a subgraph's few edges still come with a statement for
+    every one of the k^(n-1) vertices."""
     if isinstance(graph, ReducedGraph):
         g, name = graph, "reduced_debruijn"
         size = printable_power(g.k, g.n) and edge_count_formula(g.n, g.k)
@@ -238,11 +245,7 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
         g, size = ReducedGraph(graph.n, graph.k), graph.edge_count()
         name = "nega_sequence_subgraph"
     k, n = g.k, g.n
-    for count, what, huge in ((size, "edges", f"about {k}^{n}"),
-                              (printable_power(k, n - 1), "vertices", f"{k}^{n - 1}")):
-        if count is None or count > DOT_BUDGET:
-            raise GraphSizeError(f"{huge if count is None else count} {what} "
-                                 f"exceed the DOT export budget of {DOT_BUDGET}")
+    check_dot_budget(n, k, size)
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
     names = []  # each vertex name decoded once; edges index into it

@@ -226,10 +226,6 @@ def nega_reverse_code(code: int, n: int, k: int) -> int:
     return out
 
 
-def is_negasymmetric_code(code: int, n: int, k: int) -> bool:
-    return code == nega_reverse_code(code, n, k)
-
-
 def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
     """(K, low, high) with K = k^(n//2) and -e^R == low[e % K] + high[e // K]
     for every code e of length n.

@@ -8,7 +8,9 @@ window extraction.  One verdict on a stored length m costs O(m)
 (expected) for the window codes of the word and its image and one hash
 set of them; only a word with a repeated window pays O(sqrt(m)) plus
 O(m) per prime factor step for its minimal period, and a witness is
-searched for only after a hit.
+searched for only after a hit.  Windows are coded at order min(n, m),
+whatever n is: a window longer than the stored word repeats it, so two
+such windows are equal exactly when their first m symbols are.
 """
 
 from __future__ import annotations
@@ -105,11 +107,13 @@ def _verdict(seq: PeriodicSequence, n: int, prop: str,
     S^R for OS) are tested against that set, and only a hit is located:
     window t of the image is the image of window (m - n - t) mod m.
     `kinds` names the witness when a window hits its own image and when
-    another's.
+    another's.  Codes are of order min(n, stored length), as both words
+    repeat with that length; the witness's j uses n itself.
     """
     if n < 2:
         raise ValueError(f"window order must be at least 2, got n={n}")
-    codes = window_codes(seq.symbols, n, seq.k)
+    order = min(n, len(seq.symbols))
+    codes = window_codes(seq.symbols, order, seq.k)
     seen = set(codes)
     norm = seq if len(seen) == len(codes) else seq.normalized()
     m = len(norm)
@@ -118,7 +122,7 @@ def _verdict(seq: PeriodicSequence, n: int, prop: str,
     if len(seen) < m:
         witness = _duplicate_witness(codes)
     elif image is not None:
-        image_codes = window_codes(image(norm), n, norm.k)
+        image_codes = window_codes(image(norm), order, norm.k)
         if not seen.isdisjoint(image_codes):
             hits = seen.intersection(image_codes)
             i = next(i for i, c in enumerate(codes) if c in hits)
@@ -184,10 +188,6 @@ def is_os(seq: PeriodicSequence, n: int) -> Verdict:
 # One sequence per line, decimal symbols separated by commas.  Blank lines
 # and lines starting with '#' are ignored.
 
-def parse_sequence_line(line: str, k: int) -> PeriodicSequence:
-    return PeriodicSequence(parse_symbols(line), k)
-
-
 def read_sequences(lines: Iterable[str], k: int) -> Iterator[PeriodicSequence]:
     """Parse sequence lines; a bad line raises ValueError naming its number."""
     for number, raw in enumerate(lines, start=1):
@@ -195,7 +195,7 @@ def read_sequences(lines: Iterable[str], k: int) -> Iterator[PeriodicSequence]:
         if not line or line.startswith("#"):
             continue
         try:
-            seq = parse_sequence_line(line, k)
+            seq = PeriodicSequence(parse_symbols(line), k)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
         yield seq

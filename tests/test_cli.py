@@ -444,6 +444,23 @@ class TestBoundAndTable:
         assert payload["bound"] == 105
         assert payload["breakdown"]["edge_cap"] == 210
 
+    # SHA-256 of the concatenated output of `bound` over n = 2..15 and
+    # k = 3..15 in each format, recorded when the command listed the
+    # breakdown's keys by hand.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "ae85dc907020719fb042782d62790e5cdd5e8bdc2d85325518a6d363755411d4"),
+        ("text", "889b917e74890fcc5362cdbf781abcb883dcd51d59383658764ea95bf6668b5e"),
+    ])
+    def test_bound_output_pinned(self, runner, fmt, digest):
+        sha = hashlib.sha256()
+        for n in range(2, 16):
+            for k in range(3, 16):
+                result = runner.invoke(main, ["bound", "--n", str(n), "--k", str(k),
+                                              "--format", fmt])
+                assert result.exit_code == 0, (n, k, result.output)
+                sha.update(result.output.encode())
+        assert sha.hexdigest() == digest
+
     def test_table_check_reference_passes(self, runner):
         result = runner.invoke(
             main, ["table", "--n", "2..9", "--k", "3..9", "--check-reference"])
@@ -702,6 +719,27 @@ class TestExportDot:
         result = runner.invoke(
             main, ["export-dot", "--n", "2", "--k", "3", "--sequence", "0,0,1"])
         assert result.exit_code == 1
+
+    def test_vertex_budget_checked_before_the_subgraph(self, runner, monkeypatch):
+        from negaseq import graph as graph_mod
+
+        def no_subgraph(*args):
+            raise AssertionError("subgraph built before the vertex budget check")
+
+        monkeypatch.setattr(graph_mod, "sequence_subgraph", no_subgraph)
+        result = runner.invoke(
+            main, ["export-dot", "--n", "2000000", "--k", "9", "--sequence", "0,1,1"])
+        assert result.exit_code == 3
+        assert result.output == \
+            "9^1999999 vertices exceed the DOT export budget of 100000\n"
+
+    def test_over_budget_non_nos_sequence_exits_three(self, runner):
+        # The size refusal comes first: 0,1,2 is not an NOS, but 3^11
+        # vertices are over the budget before any window is coded.
+        result = runner.invoke(
+            main, ["export-dot", "--n", "12", "--k", "3", "--sequence", "0,1,2"])
+        assert result.exit_code == 3
+        assert "177147 vertices exceed the DOT export budget" in result.output
 
 
 # -- fuzz: every subcommand keeps the exit-code contract ------------------

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from negaseq import graph as graph_mod
 from negaseq.errors import GraphSizeError, NotAnNosError
 from negaseq.graph import (
     ReducedGraph,
+    SequenceSubgraph,
     edge_count_formula,
     excluded_edge_budget,
     export_dot,
@@ -135,6 +137,16 @@ class TestSequenceSubgraph:
         assert sub.is_balanced()
         assert not sub.has_negasymmetric_edge()
         assert sub.closed_under_nega_reverse()
+
+    @pytest.mark.parametrize("in_degree, out_degree, balanced", [
+        (Counter({0: 1, 1: 1}), Counter({0: 2}), False),
+        (Counter({0: 1, 1: 0}), Counter({0: 1}), True),  # an explicit 0 is a missing key
+        (Counter(), Counter({2: 0}), True),
+    ], ids=["unequal", "explicit-zero", "empty"])
+    def test_is_balanced_compares_degrees(self, in_degree, out_degree, balanced):
+        sub = SequenceSubgraph(n=2, k=3, in_degree=in_degree,
+                               out_degree=out_degree, edge_origin={})
+        assert sub.is_balanced() is balanced
 
     def test_duplicate_raises(self):
         with pytest.raises(NotAnNosError) as err:

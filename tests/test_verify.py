@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negaseq import verify as verify_mod
 from negaseq.errors import NotAnNosError
 from negaseq.graph import sequence_subgraph
-from negaseq.tuples import Word, encode, window_codes
+from negaseq.tuples import Word, encode, parse_symbols, window_codes
 from negaseq.verify import (
     DUPLICATE_WINDOW,
     NEGA_REVERSE_COLLISION,
@@ -20,7 +21,6 @@ from negaseq.verify import (
     is_os,
     is_window_sequence,
     minimal_period,
-    parse_sequence_line,
     read_sequences,
 )
 
@@ -283,6 +283,39 @@ class TestNaiveOracle:
             assert is_nos(s, n) == is_nos_naive(s, n)
 
 
+class TestHugeOrder:
+    """A window longer than the stored word repeats it, so the verifiers
+    code windows of at most the stored length, and any n answers at once."""
+
+    WORDS = [((0, 1, 1), 9), ((0, 1, 1) * 2, 9), ((0, 0, 1), 3), ((1, 2), 3),
+             ((0, 1, 0, 2), 3), ((0,), 4)]
+
+    def test_windows_never_longer_than_stored_word(self, monkeypatch):
+        calls = []
+
+        def spy(symbols, n, k):  # refuses before coding, so a regression fails fast
+            assert n <= stored, f"order {n} coded on a stored word of {stored}"
+            calls.append(n)
+            return window_codes(symbols, n, k)
+
+        monkeypatch.setattr(verify_mod, "window_codes", spy)
+        for symbols, k in self.WORDS:
+            stored = len(symbols)
+            for check in (is_window_sequence, is_nos, is_os):
+                check(seq(symbols, k), 2_000_000)
+        assert len(calls) >= 3 * len(self.WORDS)
+
+    def test_verdicts_match_extraction(self):
+        assert is_nos(seq((0, 1, 1) * 2, 9), 2_000_000) == \
+            Verdict(True, "nos", 3, order_exceeds_period=True)
+        for symbols, k in self.WORDS:  # two n, as a witness's j depends on n mod m
+            for n in (200_000, 200_001):
+                s = seq(symbols, k)
+                assert is_nos(s, n) == is_nos_naive(s, n), (symbols, n)
+                for prop, check in (("window", is_window_sequence), ("os", is_os)):
+                    assert check(s, n) == window_oracle(s, n, prop), (symbols, n, prop)
+
+
 class TestOs:
     def test_palindrome_window_rejected(self):
         # window (1,0,1) of 1,0,1,2 is a palindrome
@@ -302,7 +335,7 @@ class TestOs:
 
 class TestTextFormat:
     def test_parse_line(self):
-        assert parse_sequence_line("0,1,2", 3).symbols == (0, 1, 2)
+        assert PeriodicSequence(parse_symbols("0,1,2"), 3).symbols == (0, 1, 2)
 
     def test_read_skips_comments_and_blanks(self):
         lines = ["# header", "", "0,1,1", "  ", "0,2,2"]
@@ -311,7 +344,7 @@ class TestTextFormat:
 
     def test_bad_symbol_raises(self):
         with pytest.raises(ValueError):
-            parse_sequence_line("0,9", 3)
+            PeriodicSequence(parse_symbols("0,9"), 3)
 
     def test_bad_line_names_its_number(self):
         with pytest.raises(ValueError, match="line 3"):
