@@ -86,18 +86,6 @@ class ReducedGraph:
             start = e + 1
         yield from range(start, self.k**self.n)
 
-    def out_edges(self, vertex_code: int) -> Iterator[int]:
-        base = vertex_code * self.k
-        for x in range(self.k):
-            if self.has_edge_code(base + x):
-                yield base + x
-
-    def in_edges(self, vertex_code: int) -> Iterator[int]:
-        for y in range(self.k):
-            code = y * self.num_vertices + vertex_code
-            if self.has_edge_code(code):
-                yield code
-
     def vertex_word(self, vertex_code: int) -> Word:
         return Word(decode(vertex_code, self.n - 1, self.k), self.k)
 
@@ -110,17 +98,20 @@ class VertexProfile(NamedTuple):
 
 
 def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
-    """Degrees by direct edge probing plus the classification flags.
+    """Degrees by probing the one candidate non-edge in each direction,
+    plus the classification flags.
 
-    The degrees always satisfy: in = k-1 iff left-sns else k, and
-    out = k-1 iff right-sns else k.
+    An n-tuple is negasymmetric only if its first symbol is minus its last,
+    so y.v is the only in-edge of v that can be missing (y = -v[-1]), and
+    v.x the only out-edge (x = -v[0]).  The degrees always satisfy: in =
+    k-1 iff left-sns else k, and out = k-1 iff right-sns else k.
     """
     if len(v) != g.n - 1 or v.k != g.k:
         raise ValueError(
             f"vertex label must have length {g.n - 1} over Z_{g.k}, got {v}")
-    code = v.code()
-    in_degree = sum(1 for _ in g.in_edges(code))
-    out_degree = sum(1 for _ in g.out_edges(code))
+    code, k = v.code(), g.k
+    in_degree = k - (not g.has_edge_code(-v[-1] % k * g.num_vertices + code))
+    out_degree = k - (not g.has_edge_code(code * k + -v[0] % k))
     return VertexProfile(label=v, in_degree=in_degree, out_degree=out_degree,
                          flags=structural_flags(v))
 

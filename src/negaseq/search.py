@@ -25,14 +25,20 @@ runs out: the expansion count is tested inline after every expansion and
 the wall clock after every 4096th.  It stops where it is, without
 unwinding the walk.
 
-The returned sequence is the lexicographically least form, under
-rotation, nega-reverse and unit scaling (`canonicalize`), among the
-longest walks recorded.  Each recorded walk is verified with `is_nos` as
-the search found it.  A walk that ties the incumbent's length is tested
-with `canonicalize(walk, incumbent)`, the incumbent canonicalized once
-beforehand, which builds a form only if it is below the incumbent.  The
-result, canonicalized if need be, is checked by `is_nos` again before it
-is returned.
+A walk is recorded, and verified with `is_nos`, when it closes at least
+as long as the incumbent, and it replaces the incumbent only if it is
+longer.  The result is therefore the first walk of its length that the
+DFS met, and that walk is already canonical: the lexicographically least
+form of its orbit under rotation, nega-reverse and unit scaling
+(`canonicalize`).  The DFS visits closed walks in the lexicographic order
+of their edge codes, which is the order of their sequences (the cut
+removes no prefix of a closed walk).  The canonical form c of a recorded
+walk w is an NOS of the same period whose rotation at its least window
+is c itself, so the DFS generates c, and c <= w.  If c < w, c was
+visited first, at the same length, and w was not the first walk of that
+length.  This holds in budget- and time-capped runs too, since a cap
+only ends that order early.  The result is checked by `is_nos` again
+before it is returned.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class SearchConfig(Record):
         check_graph_params(n, k)
         if node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if time_budget is not None and time_budget <= 0:
+        if time_budget is not None and not time_budget > 0:  # NaN too
             raise ValueError("time budget must be positive")
         super().__init__(n, k, node_budget, time_budget)
 
@@ -79,11 +85,9 @@ def units(k: int) -> list[int]:
     return [u for u in range(1, k) if math.gcd(u, k) == 1]
 
 
-def canonicalize(seq: PeriodicSequence, below: Optional[PeriodicSequence] = None
-                 ) -> Optional[PeriodicSequence]:
+def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     """Lexicographically least word in the orbit of seq under rotations,
-    the nega-reverse map and unit symbol multiplication.  Given `below`, a
-    word of seq's length, that word if it is less than `below`, else None.
+    the nega-reverse map and unit symbol multiplication.
 
     All three generators preserve the NOS property, so the orbit is a
     legitimate symmetry class for deduplication.  The unit images of -S^R
@@ -93,8 +97,8 @@ def canonicalize(seq: PeriodicSequence, below: Optional[PeriodicSequence] = None
     Images are strings of equal-width symbol codes that compare like the
     symbols.  The least rotation of an image starts at a longest run of its
     least symbol, so an image is skipped when that symbol is above the
-    incumbent's first or no run of it is as long as the incumbent's leading
-    run, and only rotations that start with such a run are compared.
+    best image's first or no run of it is as long as the best image's
+    leading run, and only rotations that start with such a run are compared.
     """
     k, symbols = seq.k, seq.symbols
     variants = (symbols, symbols[::-1])
@@ -107,8 +111,7 @@ def canonicalize(seq: PeriodicSequence, below: Optional[PeriodicSequence] = None
         images = [lambda t, v=v: "".join(map(t.__getitem__, v)) for v in variants]
     w = len(code(0))
     end = len(symbols) * w
-    best = None if below is None else "".join(map(code, below.symbols))
-    found = None
+    best = found = None
     present = set(symbols)
     for u in units(k):
         table = {s: code(u * s % k) for s in present}
@@ -126,8 +129,6 @@ def canonicalize(seq: PeriodicSequence, below: Optional[PeriodicSequence] = None
                 if best is None or doubled[r:r + end] < best:
                     best, found = doubled[r:r + end], (u, variant, r // w)
                 r = doubled.find(run, r + 1)
-    if found is None:
-        return None
     u, variant, r = found
     return PeriodicSequence(tuple([u * s % k for s in variant[r:] + variant[:r]]), k)
 
@@ -157,7 +158,6 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
     best_len = 0
     best_seq: Optional[PeriodicSequence] = None
-    best_canonical = False  # is best_seq already in canonical form?
     expansions = 0
     aborted = False
     node_budget, time_budget = cfg.node_budget, cfg.time_budget
@@ -170,7 +170,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
 
     def record(walk: list[int]) -> None:
         # Only walks at least as long as the incumbent are recorded.
-        nonlocal best_len, best_seq, best_canonical
+        nonlocal best_len, best_seq
         m = len(walk)
         seq = _walk_to_sequence(walk, n, k)
         check(seq, m)
@@ -178,14 +178,8 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             raise InternalConsistencyError(
                 f"walk of length {m} exceeds the proven bound {bound} "
                 f"at n={n}, k={k}")
-        if m > best_len:
-            best_len, best_seq, best_canonical = m, seq, False
-            return
-        if not best_canonical:
-            best_seq, best_canonical = canonicalize(best_seq), True
-        better = canonicalize(seq, best_seq)
-        if better is not None:
-            best_seq = better
+        if m > best_len:  # no tie is canonically below the first walk (see above)
+            best_len, best_seq = m, seq
 
     for e0 in range(num_codes):
         if best_len >= bound or aborted:
@@ -229,8 +223,6 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                     break
 
     if best_seq is not None:
-        if not best_canonical:
-            best_seq = canonicalize(best_seq)
         check(best_seq, best_len)
     elapsed = time.monotonic() - started
     optimal = (not aborted) or best_len >= bound

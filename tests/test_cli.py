@@ -114,6 +114,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("option, value", [
         ("--budget", "0"), ("--time-budget", "0"), ("--time-budget", "-1"),
+        ("--time-budget", "nan"),
     ])
     def test_search_budget_must_be_positive(self, runner, option, value):
         result = runner.invoke(main, ["search", "--n", "3", "--k", "3", option, value])
@@ -407,6 +408,19 @@ class TestCount:
         assert payload["count"] == payload["enumerated"] == 5
         assert payload["matches"] is True
 
+    def test_enumerate_mismatch_exits_one(self, runner, monkeypatch):
+        from negaseq import tuples
+
+        real = tuples.count_class
+        monkeypatch.setattr(tuples, "count_class", lambda *a: real(*a) + 1)
+        result = runner.invoke(
+            main, ["count", "--class", "uniform", "--n", "4", "--k", "5",
+                   "--enumerate", "--format", "json"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert (payload["count"], payload["enumerated"]) == (6, 5)
+        assert payload["matches"] is False
+
     def test_unknown_class_rejected(self, runner):
         result = runner.invoke(
             main, ["count", "--class", "bogus", "--n", "3", "--k", "3"])
@@ -466,6 +480,22 @@ class TestBoundAndTable:
             main, ["table", "--n", "2..9", "--k", "3..9", "--check-reference"])
         assert result.exit_code == 0
         assert "!" not in result.output
+
+    def test_table_check_reference_mismatch_exits_one(self, runner, tmp_path):
+        from importlib import resources
+
+        text = (resources.files("negaseq") / "data"
+                / "reference_bounds.csv").read_text()
+        assert text.count("\n2,5,10,") == 1
+        path = tmp_path / "reference.csv"
+        path.write_text(text.replace("\n2,5,10,", "\n2,5,11,"))
+        result = runner.invoke(main, ["table", "--n", "2..3", "--k", "3..5",
+                                      "--check-reference", "--reference-csv",
+                                      str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "mismatch at n=2, k=5: computed 10, reference 11\n"
+        assert result.stdout.count("!") == 1
+        assert "  10!" in result.stdout
 
     def test_table_json(self, runner):
         result = runner.invoke(

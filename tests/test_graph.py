@@ -65,8 +65,9 @@ class TestDegrees:
             g = ReducedGraph(n, k)
             total_in = total_out = 0
             for v in range(g.num_vertices):
-                total_in += sum(1 for _ in g.in_edges(v))
-                total_out += sum(1 for _ in g.out_edges(v))
+                p = vertex_profile(g, g.vertex_word(v))
+                total_in += p.in_degree
+                total_out += p.out_degree
             assert total_in == total_out == edge_count_formula(n, k)
 
     def test_profile_rejects_wrong_length(self):

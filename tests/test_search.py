@@ -28,6 +28,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=2, k=3, time_budget=-1.0)
 
+    def test_nan_time_budget_is_refused(self):
+        # NaN compares false with everything, so `<= 0` would let it through.
+        with pytest.raises(ValueError, match="time budget must be positive"):
+            SearchConfig(n=2, k=3, time_budget=float("nan"))
+
     def test_graph_size_refusal(self):
         with pytest.raises(GraphSizeError):
             max_nos_search(SearchConfig(n=10, k=9))
@@ -42,9 +47,9 @@ class TestConfig:
 
 
 def oracle_canonicalize(seq):
-    """The body `canonicalize` had before its tie test: the least rotation
-    of every unit image of S and S^R, found by comparing the rotations at
-    every occurrence of each image's least symbol.  Each unit is applied
+    """A plain reference for `canonicalize`: the least rotation of every
+    unit image of S and S^R, found by comparing the rotations at every
+    occurrence of each image's least symbol.  Each unit is applied
     per symbol, not through a table over all of Z_k, which for k above
     0x10FFFF would need k entries per unit."""
     best = None
@@ -89,13 +94,9 @@ def words(draw, k, m):
 
 
 @st.composite
-def word_pairs(draw):
-    """(s, t) of one length and alphabet; t is s itself now and then."""
+def sequences(draw):
     k = draw(st.integers(3, 13))
-    m = draw(st.integers(1, 40))
-    s = draw(words(k, m))
-    t = s if draw(st.booleans()) and draw(st.booleans()) else draw(words(k, m))
-    return PeriodicSequence(s, k), PeriodicSequence(t, k)
+    return PeriodicSequence(draw(words(k, draw(st.integers(1, 40)))), k)
 
 
 class TestUnits:
@@ -151,17 +152,10 @@ class TestCanonicalize:
         assert canonicalize(seq) == PeriodicSequence(best, k)
 
     @settings(max_examples=500, deadline=None)
-    @given(word_pairs())
-    @example((PeriodicSequence((HUGE_K - 1, 5) * 2, HUGE_K),
-              PeriodicSequence((1, 1, 2, 1), HUGE_K)))
-    def test_matches_oracle_and_tie_test_is_exact(self, pair):
-        """canonicalize(s) is the oracle's form, and canonicalize(s, b) for
-        a canonical b returns that form exactly when it is below b."""
-        s, t = pair
-        rep, below = oracle_canonicalize(s), oracle_canonicalize(t)
-        assert canonicalize(s) == rep
-        expected = rep if rep.symbols < below.symbols else None
-        assert canonicalize(s, below) == expected
+    @given(sequences())
+    @example(PeriodicSequence((HUGE_K - 1, 5) * 2, HUGE_K))
+    def test_matches_oracle(self, s):
+        assert canonicalize(s) == oracle_canonicalize(s)
 
 
 class TestExhaustiveSearch:
@@ -354,33 +348,28 @@ def _count_calls(monkeypatch, names):
 
 
 class TestRecordChecks:
-    CANONICALIZED = {(3, 3): 32, (3, 4): 549, (4, 3): 284}
-
     @pytest.mark.parametrize("n,k,budget,recorded", [
         (3, 3, 10**9, 36), (3, 4, 20_000, 557), (4, 3, 20_000, 289)])
     def test_each_recorded_walk_is_canonicalized_and_verified(
             self, monkeypatch, n, k, budget, recorded):
         """One is_nos call per recorded walk, on the walk as found, and one
-        more on the returned sequence.  canonicalize runs only on ties at
-        the incumbent's length (the tying walk, and the incumbent once) and
-        on the result.  Walk counts recorded from the search whose record
-        step built a nega-reverse per walk, (3, 3) again once every unused
-        code became a first edge; canonicalize counts from the search that
-        first canonicalized lazily.  (4, 3) was added, both counts recorded
-        from the search that canonicalized each tie in full."""
+        more on the returned sequence; no canonicalize call, since the first
+        walk of the result's length is already canonical.  Walk counts
+        recorded from the search whose record step built a nega-reverse per
+        walk, (3, 3) again once every unused code became a first edge, and
+        (4, 3) from the search that canonicalized each tie in full."""
         calls = _count_calls(monkeypatch, ("canonicalize", "is_nos"))
         max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
-        assert calls == {"canonicalize": self.CANONICALIZED[n, k],
-                         "is_nos": recorded + 1}
+        assert calls == {"canonicalize": 0, "is_nos": recorded + 1}
 
     @pytest.mark.parametrize("k", range(3, 14))
     def test_one_canonicalize_per_order_two_search(self, monkeypatch, k):
-        """Each n = 2 search records only strictly longer walks until it
-        meets the bound, so its one canonical form is the result's."""
+        """Each n = 2 search meets the bound and canonicalizes nothing,
+        not even its result."""
         calls = _count_calls(monkeypatch, ("canonicalize",))
         result = max_nos_search(SearchConfig(n=2, k=k))
         assert (result.optimal, result.period) == (True, result.bound)
-        assert calls == {"canonicalize": 1}
+        assert calls == {"canonicalize": 0}
 
     @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (5, 4)])
     def test_partner_halves_built_once_per_search(self, monkeypatch, n, k):
@@ -418,6 +407,14 @@ class TestRecordChecks:
         v = is_nos(seq, n)
         assert v.valid and v.period == result.period == len(seq)
 
+    @pytest.mark.parametrize("n,k", [(2, 20), (3, 5), (5, 3), (6, 3), (3, 7)])
+    def test_result_is_canonical_at_every_budget(self, n, k):
+        """The first walk of the result's length, which the search returns
+        unchanged, is its own canonical form however early a budget stops."""
+        for budget in (10**2, 10**3, 10**4, 10**5):
+            r = max_nos_search(SearchConfig(n=n, k=k, node_budget=budget))
+            assert canonicalize(r.best_sequence) == r.best_sequence, budget
+
     def test_failing_walk_raises(self, monkeypatch):
         """A recorded walk that fails is_nos stops the search."""
         real = search_mod.is_nos
@@ -427,12 +424,21 @@ class TestRecordChecks:
             max_nos_search(SearchConfig(n=2, k=5))
 
     def test_failing_result_raises(self, monkeypatch):
-        """The returned sequence is verified after its last canonicalize:
-        a canonical form that is not an NOS of the period stops the search."""
-        monkeypatch.setattr(search_mod, "canonicalize",
-                            lambda seq: PeriodicSequence((0,) * len(seq), seq.k))
-        with pytest.raises(InternalConsistencyError, match="length 10: 0,0,0"):
+        """The returned sequence is verified once more: a result that fails
+        that last is_nos call stops the search.  (2, 5) records 5 walks, so
+        the sixth call is the last."""
+        real, calls = search_mod.is_nos, []
+
+        def last_fails(seq, n):
+            calls.append(seq)
+            verdict = real(seq, n)
+            return verdict._replace(valid=False) if len(calls) == 6 else verdict
+
+        monkeypatch.setattr(search_mod, "is_nos", last_fails)
+        with pytest.raises(InternalConsistencyError,
+                           match="length 10: 0,1,0,2,1,1,2,2,4,2$"):
             max_nos_search(SearchConfig(n=2, k=5))
+        assert len(calls) == 6
 
 
 class TestBudgets:
