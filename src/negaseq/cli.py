@@ -338,7 +338,7 @@ def search(n, k, budget, time_budget, certificate_path, output, fmt):
         "optimal": result.optimal,
         "sequence": str(result.best_sequence) if result.best_sequence else None,
         "expansions": result.expansions,
-        "bound": result.bound,
+        "bound": result.bound, "flow_bound": result.flow_bound,
     }
     found = result.best_sequence is not None
     text = (f"period {result.period} "

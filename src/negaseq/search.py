@@ -19,11 +19,13 @@ out-edges of the edge's tail vertex.
 A branch is cut when the walk can never close: it has left its start
 vertex and every in-edge of that vertex is used or blocked by a used
 partner.  A count of those unused in-edges is kept as edges are taken
-and released.  The whole search stops once the incumbent meets the
-proven period upper bound (no longer walk can exist), or once a budget
-runs out: the expansion count is tested inline after every expansion and
-the wall clock after every 4096th.  It stops where it is, without
-unwinding the walk.
+and released.  The whole search stops once the incumbent meets its
+target, a proven period upper bound (no longer walk can exist), or once a
+budget runs out: the expansion count is tested inline after every
+expansion and the wall clock after every 4096th.  It stops where it is,
+without unwinding the walk.  The target is `nos_bound` until the k^n-th
+expansion, where the parity flow bound F // 2 (`flow`, docs/flow_bound.md)
+is computed, once, and becomes the target.
 
 A walk is recorded, and verified with `is_nos`, when it closes at least
 as long as the incumbent, and it replaces the incumbent only if it is
@@ -36,9 +38,9 @@ removes no prefix of a closed walk).  The canonical form c of a recorded
 walk w is an NOS of the same period whose rotation at its least window
 is c itself, so the DFS generates c, and c <= w.  If c < w, c was
 visited first, at the same length, and w was not the first walk of that
-length.  This holds in budget- and time-capped runs too, since a cap
-only ends that order early.  The result is checked by `is_nos` again
-before it is returned.
+length.  This holds in runs that stop early too, at a budget or at a
+bound, since a stop only ends that order early.  The result is checked
+by `is_nos` again before it is returned.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ from __future__ import annotations
 import math
 import time
 from typing import NamedTuple, Optional
+
+try:  # SHA-256 without hashlib, which loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
@@ -56,6 +66,7 @@ from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
 MAX_CODES = 2**24
+FLOW_BOUND_AFTER = 1  # expansions per edge code before the flow bound is computed
 
 
 class SearchConfig(Record):
@@ -78,7 +89,8 @@ class SearchResult(NamedTuple):
     optimal: bool
     expansions: int
     elapsed: float
-    bound: int
+    bound: int  # nos_bound
+    flow_bound: Optional[int] = None  # F // 2, if the search computed it
 
 
 def units(k: int) -> list[int]:
@@ -160,7 +172,9 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     best_seq: Optional[PeriodicSequence] = None
     expansions = 0
     aborted = False
-    node_budget, time_budget = cfg.node_budget, cfg.time_budget
+    node_budget = cfg.node_budget
+    deadline = None if cfg.time_budget is None else started + cfg.time_budget
+    target, flow, flow_at = bound, None, FLOW_BOUND_AFTER * num_codes
 
     def check(seq: PeriodicSequence, m: int) -> None:
         verdict = is_nos(seq, n)
@@ -174,15 +188,15 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
         m = len(walk)
         seq = _walk_to_sequence(walk, n, k)
         check(seq, m)
-        if m > bound:
+        if m > target:
             raise InternalConsistencyError(
-                f"walk of length {m} exceeds the proven bound {bound} "
+                f"walk of length {m} exceeds the proven bound {target} "
                 f"at n={n}, k={k}")
         if m > best_len:  # no tie is canonically below the first walk (see above)
             best_len, best_seq = m, seq
 
     for e0 in range(num_codes):
-        if best_len >= bound or aborted:
+        if best_len >= target or aborted:
             break
         if used[e0]:
             continue
@@ -200,7 +214,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                 start_in -= (v == start) + (p % num_vertices == start)
                 if v == start and len(walk) >= best_len:
                     record(walk)
-                    if best_len >= bound:
+                    if best_len >= target:
                         break  # no longer walk exists
                 lo = v * k
                 hi = lo + k if v == start or start_in else lo  # empty: cut
@@ -216,26 +230,38 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             e = used.find(0, lo if lo > e0 else e0 + 1, hi)
             if e >= 0:
                 expansions += 1
+                if expansions == flow_at:
+                    from .flow import flow_bound
+
+                    F = flow_bound(n, k, deadline)
+                    if F is None:  # past the time budget
+                        aborted = True
+                        break
+                    flow = target = F // 2
+                    if not best_len <= flow <= bound:
+                        raise InternalConsistencyError(
+                            f"flow bound {flow} is above nos_bound {bound} or below "
+                            f"a walk of length {best_len} at n={n}, k={k}")
+                    if best_len >= target:
+                        break
                 if expansions >= node_budget or (
-                        time_budget is not None and expansions % 4096 == 0
-                        and time.monotonic() - started > time_budget):
+                        deadline is not None and expansions % 4096 == 0
+                        and time.monotonic() > deadline):
                     aborted = True
                     break
 
     if best_seq is not None:
         check(best_seq, best_len)
     elapsed = time.monotonic() - started
-    optimal = (not aborted) or best_len >= bound
+    optimal = (not aborted) or best_len >= target
     return SearchResult(config=cfg, best_sequence=best_seq, period=best_len,
                         optimal=optimal, expansions=expansions,
-                        elapsed=elapsed, bound=bound)
+                        elapsed=elapsed, bound=bound, flow_bound=flow)
 
 
 def graph_content_hash(n: int, k: int) -> str:
     """SHA-256 of the packed edge bitmap; pins the searched graph in certificates."""
-    import hashlib  # loads OpenSSL: only certificates pay for it
-
-    return hashlib.sha256(ReducedGraph(n, k).edge_bitmap()).hexdigest()
+    return sha256(ReducedGraph(n, k).edge_bitmap()).hexdigest()
 
 
 def certify(result: SearchResult) -> str:
@@ -249,6 +275,8 @@ def certify(result: SearchResult) -> str:
         f"optimal={'true' if result.optimal else 'false'}",
         f"period_upper_bound={result.bound}",
     ]
+    if result.flow_bound is not None:
+        lines.append(f"flow_bound={result.flow_bound}")
     if result.best_sequence is not None:
         verdict = is_nos(result.best_sequence, cfg.n)
         status = "valid" if verdict.valid else "invalid"

@@ -3,6 +3,8 @@ import signal
 
 import pytest
 
+from negaseq import search as search_mod
+
 # Seconds each phase of a test (setup, call, teardown) may run.  The slowest
 # test takes about 6 s; a search whose cut stops firing never finishes, and
 # must fail instead of hanging.  The limit wraps the setup phase too, because
@@ -45,3 +47,10 @@ def pytest_runtest_call(item):
 def pytest_runtest_teardown(item):
     with _time_limit():
         return (yield)
+
+
+@pytest.fixture
+def dfs_only(monkeypatch):
+    """The search without its stop at the flow bound: the DFS traversal that
+    the search pins in test_search.py were recorded from."""
+    monkeypatch.setattr(search_mod, "FLOW_BOUND_AFTER", 10**12)

@@ -271,8 +271,9 @@ def test_cli_import_loads_no_numpy():
 # The negaseq modules a cold start of each command loads: the command's own
 # modules and nothing else.  No command loads numpy or dataclasses (click
 # does not load it either).  `export-dot --sequence` loads `verify` to parse
-# the sequence.  Only a certificate loads hashlib (and OpenSSL with it), for
-# its graph hash.
+# the sequence.  A (3, 3) search reaches its k^n-th expansion and loads
+# `flow` for the flow bound.  No command loads OpenSSL (`_hashlib`): the
+# certificate's graph hash uses the interpreter's own SHA-256.
 COLD_COMMANDS = {
     "classify": (["classify", "--k", "3", "--tuple", "1,0,2"], {"tuples"}),
     "count": (["count", "--class", "negasymmetric", "--n", "3", "--k", "3"],
@@ -289,10 +290,11 @@ COLD_COMMANDS = {
                              "--sequence", "0,1,1"],
                             {"tuples", "graph", "verify"}),
     "search": (["search", "--n", "3", "--k", "3"],
-               {"tuples", "graph", "bounds", "verify", "search"}),
+               {"tuples", "graph", "bounds", "verify", "search", "flow"}),
     "search-certificate": (["search", "--n", "3", "--k", "3",
                             "--certificate", "cert.txt"],
-                           {"tuples", "graph", "bounds", "verify", "search"}),
+                           {"tuples", "graph", "bounds", "verify", "search",
+                            "flow"}),
 }
 
 
@@ -314,9 +316,8 @@ def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
         | {f"negaseq.{m}" for m in modules})
     assert "numpy" not in loaded
     assert "dataclasses" not in loaded
-    hashing = "--certificate" in args
-    assert bool({"hashlib", "_hashlib"} & loaded) == hashing
-    if hashing:  # the (3, 3) graph hash pinned in tests/test_search.py
+    assert "_hashlib" not in loaded
+    if "--certificate" in args:  # the (3, 3) graph hash pinned in tests/test_search.py
         assert ("graph_edges_sha256=20368f81d1a6ee4d84708b6b12ae0cdd"
                 "09bf0f21d3f0af5e937117db72a6ec93\n") in (
                     tmp_path / "cert.txt").read_text()
@@ -676,7 +677,7 @@ class TestSearch:
 
     def test_budget_exhausted_exits_three(self, runner):
         result = runner.invoke(
-            main, ["search", "--n", "3", "--k", "4", "--budget", "2000"])
+            main, ["search", "--n", "3", "--k", "5", "--budget", "2000"])
         assert result.exit_code == 3
 
     def test_certificate_written(self, runner, tmp_path):
@@ -687,6 +688,19 @@ class TestSearch:
         text = cert.read_text()
         assert "period=3" in text
         assert "optimal=true" in text
+
+    def test_json_names_the_flow_bound(self, runner):
+        """The record carries F // 2 where the search computed it, and null
+        where it ended first; the text output does not change."""
+        for args, flow in ((["--n", "3", "--k", "3"], 10),
+                           (["--n", "2", "--k", "3"], None)):
+            result = runner.invoke(main, ["search", *args, "--format", "json"])
+            assert result.exit_code == 0
+            record = json.loads(result.stdout)
+            validate(record)
+            assert record["flow_bound"] == flow
+        result = runner.invoke(main, ["search", "--n", "3", "--k", "3"])
+        assert result.stdout.splitlines()[0] == "period 10 (optimal), bound 11"
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "result.json"

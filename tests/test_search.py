@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from negaseq import search as search_mod, tuples as tuples_mod
+from negaseq import flow as flow_mod, search as search_mod, tuples as tuples_mod
 from negaseq.errors import GraphSizeError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
@@ -216,6 +216,7 @@ class TestExhaustiveSearch:
         assert a.expansions == b.expansions
 
 
+@pytest.mark.usefixtures("dfs_only")
 class TestPinnedOutcomes:
     """Periods, expansion counts and sequences of the pruned search.
 
@@ -267,6 +268,7 @@ class TestPinnedOutcomes:
         assert spent.best_sequence == full.best_sequence
 
 
+@pytest.mark.usefixtures("dfs_only")
 class TestOutcomeDigest:
     """One SHA-256 over the outcomes and certificates of 26 searches: the
     n = 2 cells for k = 3..13, (3, 3) and 14 budgeted cells.
@@ -294,6 +296,7 @@ class TestOutcomeDigest:
                           "27b8c6ee537e63aebfd00a8dbd1420c4")
 
 
+@pytest.mark.usefixtures("dfs_only")
 class TestBudgetSweepDigest:
     """One SHA-256 over the outcome of (3, 4) and (4, 3) at every 500th node
     budget up to 20 000: 80 incumbents, each the least canonical form
@@ -315,6 +318,7 @@ class TestBudgetSweepDigest:
                           "e7f7c81aa29f85163499aa978da5f920")
 
 
+@pytest.mark.usefixtures("dfs_only")
 class TestEveryAbortPoint:
     """One SHA-256 over the outcome of (3, 3) at every node budget from 1
     to 911, the expansion count of its exhaustive run: the search is
@@ -335,6 +339,39 @@ class TestEveryAbortPoint:
                           "948b5c1a36bf9dc174b0e45f530b1d8b")
 
 
+class TestFlowBoundStop:
+    """The search that stops at the flow bound against the DFS it cuts
+    short, on every cell and budget pinned above: the same period and
+    sequence in no more expansions, and `optimal` differs only where the
+    period meets the flow bound."""
+
+    RUNS = ([(n, k, budget or 10**9) for n, k, budget in TestOutcomeDigest.CELLS]
+            + [(n, k, budget) for n, k in ((3, 4), (4, 3))
+               for budget in range(500, 20_001, 500)]
+            + [(3, 3, budget) for budget in range(1, 912)]
+            + [(2, k, 10**9) for k in (16, 20, 24)]
+            + [(3, 4, 20_000), (4, 3, 20_000), (5, 3, 5_000)])
+
+    def test_same_outcome_in_fewer_expansions(self, request):
+        real = [max_nos_search(SearchConfig(n=n, k=k, node_budget=b))
+                for n, k, b in self.RUNS]
+        request.getfixturevalue("dfs_only")
+        certified = 0
+        for (n, k, b), r in zip(self.RUNS, real):
+            dfs = max_nos_search(SearchConfig(n=n, k=k, node_budget=b))
+            assert dfs.flow_bound is None
+            assert (r.period, r.best_sequence) == (
+                dfs.period, dfs.best_sequence), (n, k, b)
+            assert r.expansions <= dfs.expansions, (n, k, b)
+            if r.optimal != dfs.optimal:
+                assert r.optimal and r.period == r.flow_bound, (n, k, b)
+                certified += 1
+        # (3, 3) at the 885 budgets from 27 on, (3, 4) at all 40 sweep
+        # budgets, (4, 3) at the 39 from 1000 on, and both at 3000 and at
+        # 20 000 in the other lists
+        assert certified == 885 + 40 + 39 + 4
+
+
 def _count_calls(monkeypatch, names):
     """Count calls to search-module attributes, through the module globals
     that tracing hooks."""
@@ -348,6 +385,7 @@ def _count_calls(monkeypatch, names):
 
 
 class TestRecordChecks:
+    @pytest.mark.usefixtures("dfs_only")
     @pytest.mark.parametrize("n,k,budget,recorded", [
         (3, 3, 10**9, 36), (3, 4, 20_000, 557), (4, 3, 20_000, 289)])
     def test_each_recorded_walk_is_canonicalized_and_verified(
@@ -373,30 +411,40 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (5, 4)])
     def test_partner_halves_built_once_per_search(self, monkeypatch, n, k):
-        """The search's partner tables also give its non-edges."""
+        """The search's partner tables also give its non-edges.  The flow
+        bound, computed once at the k^n-th expansion (only (3, 3) reaches
+        it within the budget of 100), builds its own at n and at n - 1."""
         calls = []
 
         def counted(*args, _inner=tuples_mod.partner_halves):
             calls.append(args)
             return _inner(*args)
 
-        for module in (tuples_mod, search_mod):
+        for module in (tuples_mod, search_mod, flow_mod):
             monkeypatch.setattr(module, "partner_halves", counted)
-        max_nos_search(SearchConfig(n=n, k=k, node_budget=100))
-        assert calls == [(n, k)]
+        result = max_nos_search(SearchConfig(n=n, k=k, node_budget=100))
+        flow = (n, k) == (3, 3)
+        assert (result.flow_bound is not None) == flow
+        assert calls == [(n, k)] + [(n, k), (n - 1, k)] * flow
 
     @pytest.mark.parametrize("n,k,budget,seconds,exit_path", [
         (3, 3, 10**9, None, "exhaustive"),
+        (3, 3, 10**9, None, "flow-bound-met"),
         (2, 9, 10**9, None, "bound-met"),
-        (3, 4, 2000, None, "node-budget"),
-        (4, 3, 10**9, 0.001, "time-budget"),
+        (3, 5, 2000, None, "node-budget"),
+        (5, 3, 10**9, 0.001, "time-budget"),
     ])
-    def test_result_is_canonical_and_verified(self, n, k, budget, seconds,
-                                              exit_path):
+    def test_result_is_canonical_and_verified(self, request, n, k, budget,
+                                              seconds, exit_path):
+        if exit_path == "exhaustive":  # no cheap cell ends so with the flow bound
+            request.getfixturevalue("dfs_only")
         result = max_nos_search(SearchConfig(n=n, k=k, node_budget=budget,
                                              time_budget=seconds))
         reached = {
-            "exhaustive": result.optimal and result.period < result.bound,
+            "exhaustive": result.optimal and result.period < result.bound
+            and result.flow_bound is None,
+            "flow-bound-met": result.optimal
+            and result.period == result.flow_bound < result.bound,
             "bound-met": result.optimal and result.period == result.bound,
             "node-budget": not result.optimal and result.expansions == budget,
             "time-budget": not result.optimal and result.expansions < budget,
@@ -443,7 +491,7 @@ class TestRecordChecks:
 
 class TestBudgets:
     def test_node_budget_marks_non_optimal(self):
-        result = max_nos_search(SearchConfig(n=3, k=4, node_budget=2000))
+        result = max_nos_search(SearchConfig(n=3, k=5, node_budget=2000))
         assert not result.optimal
         assert result.expansions <= 2000 + 1
         if result.best_sequence is not None:
