@@ -25,12 +25,13 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import InternalConsistencyError
-from .tuples import negasymmetric_codes, partner_halves
+from .tuples import check_graph_params, negasymmetric_codes, partner_halves
 
 
 def flow_bound(n: int, k: int, deadline: Optional[float] = None) -> Optional[int]:
     """F, or None once time.monotonic() has passed deadline (tested before
     each augmentation)."""
+    check_graph_params(n, k)
     V = k ** (n - 1)
     num_codes = V * k
     state = bytearray(b"\x01") * num_codes  # 1 kept edge, 0 deleted, 2 non-edge

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import count, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Union
 
 from .errors import GraphSizeError, NotAnNosError
@@ -126,8 +125,6 @@ class SequenceSubgraph(NamedTuple):
 
     n: int
     k: int
-    in_degree: Counter
-    out_degree: Counter
     # edge code -> (stream, window index), stream in {"S", "-S^R"}
     edge_origin: dict[int, tuple[str, int]]
 
@@ -140,7 +137,10 @@ class SequenceSubgraph(NamedTuple):
         return len(self.edge_origin)
 
     def is_balanced(self) -> bool:
-        return self.in_degree == self.out_degree  # a missing key counts as 0
+        """Each vertex heads (code % k^(n-1)) as many edges as it tails (code // k)."""
+        num_vertices = self.k ** (self.n - 1)
+        heads = Counter([c % num_vertices for c in self.edge_codes])
+        return heads == Counter([c // self.k for c in self.edge_codes])
 
     def has_negasymmetric_edge(self) -> bool:
         return any(nega_reverse_code(c, self.n, self.k) == c for c in self.edge_codes)
@@ -151,45 +151,25 @@ class SequenceSubgraph(NamedTuple):
 
 
 def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
-    """Build B^-(S, n) from one period of S.
+    """Build B^-(S, n) in one O(m) scan of S at its minimal period m.
 
-    O(m) expected: the edge codes of S and -S^R are rolling window codes,
-    mapped to their origins by one dict; those of -S^R are computed only
-    once S's m codes are known to be distinct.  Fewer keys than windows
-    means a repeated edge; a scan in order then raises NotAnNosError on the
-    first one, S before -S^R, naming the colliding windows: a duplicate
-    certifies that S is not an NOS of order n.  S is normalized only when
-    its stored word repeats a window, as a proper power w^r does.
+    The rolling window codes of S, then those of -S^R, are recorded with
+    their origins; the first code already recorded raises NotAnNosError
+    naming both windows, as a duplicate certifies that S is not an NOS of
+    order n.  -S^R is coded only once S's m codes are known distinct.
     """
-    codes_s = window_codes(seq.symbols, n, seq.k)
-    origin = dict(zip(codes_s, zip(repeat("S"), count())))
-    norm = seq if len(origin) == len(codes_s) else seq.normalized()
-    k, m = norm.k, len(norm)
-    if m < len(codes_s):  # window i < p of w^r is window i of w
-        del codes_s[m:]
-        origin = dict(zip(codes_s, zip(repeat("S"), range(m))))
-    streams = [("S", codes_s)]
-    if len(origin) == m:
-        codes_r = window_codes(nega_reverse_symbols(norm.symbols, k), n, k)
-        origin.update(zip(codes_r, zip(repeat("-S^R"), range(m))))
-        streams.append(("-S^R", codes_r))
-    if len(origin) < 2 * m:  # a repeated edge: name the first one
-        origin = {}
-        for name, codes in streams:
-            for i, code in enumerate(codes):
-                if code in origin:
-                    raise NotAnNosError(
-                        f"window {name}[{i}] duplicates "
-                        f"{origin[code][0]}[{origin[code][1]}]: "
-                        f"not an order-{n} NOS",
-                        first=origin[code], second=(name, i))
-                origin[code] = (name, i)
-    num_vertices = k ** (n - 1)
-    return SequenceSubgraph(
-        n=n, k=k,
-        in_degree=Counter([c % num_vertices for c in origin]),
-        out_degree=Counter([c // k for c in origin]),
-        edge_origin=origin)
+    seq = seq.normalized()
+    k, origin = seq.k, {}
+    for name in ("S", "-S^R"):
+        symbols = seq.symbols if name == "S" else nega_reverse_symbols(seq.symbols, k)
+        for i, code in enumerate(window_codes(symbols, n, k)):
+            if code in origin:
+                raise NotAnNosError(
+                    f"window {name}[{i}] duplicates "
+                    f"{origin[code][0]}[{origin[code][1]}]: not an order-{n} NOS",
+                    first=origin[code], second=(name, i))
+            origin[code] = (name, i)
+    return SequenceSubgraph(n=n, k=k, edge_origin=origin)
 
 
 # -- DOT export -----------------------------------------------------------

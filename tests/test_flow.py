@@ -115,6 +115,12 @@ def test_pinned(n, k, half):
     assert flow_bound(n, k) == 2 * half
 
 
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1), (0, 3)])
+def test_refuses_outside_the_domain(n, k):
+    with pytest.raises(ValueError, match=f"need n >= 2 and k >= 3, got n={n}, k={k}"):
+        flow_bound(n, k)
+
+
 class TestSearchStop:
     @pytest.mark.parametrize("n,k,period,expansions", [
         (3, 3, 10, 27), (3, 4, 24, 171), (4, 3, 31, 670)])

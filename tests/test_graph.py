@@ -1,7 +1,6 @@
 import hashlib
 import random
 import re
-from collections import Counter
 
 import pytest
 
@@ -139,14 +138,13 @@ class TestSequenceSubgraph:
         assert not sub.has_negasymmetric_edge()
         assert sub.closed_under_nega_reverse()
 
-    @pytest.mark.parametrize("in_degree, out_degree, balanced", [
-        (Counter({0: 1, 1: 1}), Counter({0: 2}), False),
-        (Counter({0: 1, 1: 0}), Counter({0: 1}), True),  # an explicit 0 is a missing key
-        (Counter(), Counter({2: 0}), True),
-    ], ids=["unequal", "explicit-zero", "empty"])
-    def test_is_balanced_compares_degrees(self, in_degree, out_degree, balanced):
-        sub = SequenceSubgraph(n=2, k=3, in_degree=in_degree,
-                               out_degree=out_degree, edge_origin={})
+    @pytest.mark.parametrize("codes, balanced", [
+        ({1, 2}, False),  # 0->1 and 0->2: vertex 0 only sends
+        ({1, 3}, True),  # 0->1->0, a 2-cycle
+        (set(), True),
+    ], ids=["unequal", "two-cycle", "empty"])
+    def test_is_balanced_compares_degrees(self, codes, balanced):
+        sub = SequenceSubgraph(n=2, k=3, edge_origin=dict.fromkeys(codes, ("S", 0)))
         assert sub.is_balanced() is balanced
 
     def test_duplicate_raises(self):
@@ -225,7 +223,7 @@ class TestSequenceSubgraph:
             assert sub.edge_codes == expected
             assert sub.edge_origin[s.window(1, n).code()] == ("S", 1)
             assert sub.edge_origin[s.nega_reverse().window(2, n).code()] == ("-S^R", 2)
-            assert sum(sub.in_degree.values()) == sum(sub.out_degree.values()) == 2 * len(s)
+            assert sub.is_balanced()
 
 
 class TestDotExport:

@@ -53,6 +53,23 @@ def power_words(rng, count):
         yield seq(w * rng.randint(1, 4), k), n
 
 
+def subgraph_oracle(s, n):
+    """`sequence_subgraph`'s outcome by direct window extraction, S before
+    -S^R: the edge origins, or (first, second, message) for the first
+    window that repeats an earlier one."""
+    norm = s.normalized()
+    origin = {}
+    for name, stream in (("S", norm), ("-S^R", norm.nega_reverse())):
+        for i in range(len(norm)):
+            code = stream.window(i, n).code()
+            if code in origin:
+                first = origin[code]
+                return first, (name, i), (f"window {name}[{i}] duplicates "
+                                          f"{first[0]}[{first[1]}]: not an order-{n} NOS")
+            origin[code] = (name, i)
+    return origin
+
+
 def minimal_period_loop(s):
     """The O(m) loop over every p < m that `minimal_period` replaced."""
     symbols = s.symbols
@@ -255,9 +272,12 @@ class TestNaiveOracle:
             assert found[1] == is_nos_naive(s, n), (s, n)
             verdicts.update("".join(map(repr, found)).encode())
             try:
-                outcome = repr(sorted(sequence_subgraph(s, n).edge_origin.items()))
+                got = sequence_subgraph(s, n).edge_origin
+                outcome = repr(sorted(got.items()))
             except NotAnNosError as err:
+                got = err.first, err.second, str(err)
                 outcome = f"{err} {err.first} {err.second}"
+            assert got == subgraph_oracle(s, n), (s, n)
             subgraphs.update(outcome.encode())
         assert verdicts.hexdigest() == \
             "adc7b2c3d4a34ba82ac6fc7d7f85649254afb9f0fbfd4a9a4092423878af1f61"
