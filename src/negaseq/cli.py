@@ -2,9 +2,9 @@
 
 Results go to stdout; diagnostics and timing go to stderr so identical
 invocations produce byte-identical result output.  Exit codes: 0 success
-or verified, 1 verification failed / nothing found, 2 usage error,
-3 budget exceeded.  `Command.invoke` maps library errors to these codes
-for every subcommand.
+or verified, 1 verification failed / nothing found, 2 usage error or a
+failed write, 3 budget exceeded.  `Command.invoke` maps library errors
+to these codes for every subcommand.
 
 Each command imports the modules it runs inside its body, so a cold start
 compiles only those (`classify` and `count` need nothing past `tuples`).
@@ -104,13 +104,20 @@ class BudgetOption(click.Option):
         return search_mod.DEFAULT_NODE_BUDGET
 
 
-def _emit(payload, fmt: str, text: str, output=None) -> None:
+def _emit(payload, fmt: str, text: str, output=None, option="--output") -> None:
     """Write the text, or the payload as one JSON line, to output or stdout."""
     if fmt == "json":
         import json
 
         text = json.dumps(payload, sort_keys=True) + "\n"
-    click.echo(text, nl=False, file=output)
+    try:
+        click.echo(text, nl=False, file=output)  # flushes: a failed write raises here
+    except BrokenPipeError:  # a closed pipe, as in `| head`: click's to handle
+        raise
+    except OSError as exc:  # exit 2, like a path that cannot be opened
+        target = option if output else "stdout"
+        click.echo(f"Error: cannot write {target}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 class Command(click.Command):
@@ -350,7 +357,8 @@ def search(n, k, budget, time_budget, certificate_path, output, fmt):
     click.echo(f"elapsed {result.elapsed:.3f}s, "
                f"{result.expansions} expansions", err=True)
     if certificate_path is not None:
-        certificate_path.write(search_mod.certify(result))
+        _emit(None, "text", search_mod.certify(result), certificate_path,
+              "--certificate")
     if not found:
         sys.exit(EXIT_INVALID)
     if not result.optimal:
@@ -377,7 +385,7 @@ def export_dot(n, k, sequence_text, output):
         graph_mod.check_dot_budget(n, k)  # before any window of order n is coded
         sub = graph_mod.sequence_subgraph(seq, n)
         text = graph_mod.export_dot(sub)
-    click.echo(text, nl=False, file=output)
+    _emit(None, "text", text, output)
 
 
 if __name__ == "__main__":

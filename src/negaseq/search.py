@@ -101,48 +101,22 @@ def canonicalize(seq: PeriodicSequence) -> PeriodicSequence:
     """Lexicographically least word in the orbit of seq under rotations,
     the nega-reverse map and unit symbol multiplication.
 
-    All three generators preserve the NOS property, so the orbit is a
-    legitimate symmetry class for deduplication.  The unit images of -S^R
-    are those of the plain reverse S^R, since u*(-S^R) = (-u)*S^R and -u
-    is a unit, so S and S^R are mapped through one table per unit.
-
-    Images are strings of equal-width symbol codes that compare like the
-    symbols.  The least rotation of an image starts at a longest run of its
-    least symbol, so an image is skipped when that symbol is above the
-    best image's first or no run of it is as long as the best image's
-    leading run, and only rotations that start with such a run are compared.
+    All three maps preserve the NOS property, so the orbit is a symmetry
+    class.  Since u*(-S^R) = (-u)*S^R and -u is a unit, the unit images of
+    S^R cover those of -S^R.  A least rotation starts at a least symbol.
     """
-    k, symbols = seq.k, seq.symbols
-    variants = (symbols, symbols[::-1])
-    if k <= 0x110000:  # a symbol is the code point of its value
-        code, word = chr, "".join(map(chr, symbols))
-        images = (word.translate, word[::-1].translate)
-    else:  # a marker that no byte equals, then the value's bytes, big-endian
-        size = ((k - 1).bit_length() + 7) // 8
-        code = lambda x: "\u0100" + x.to_bytes(size, "big").decode("latin-1")
-        images = [lambda t, v=v: "".join(map(t.__getitem__, v)) for v in variants]
-    w = len(code(0))
-    end = len(symbols) * w
-    best = found = None
-    present = set(symbols)
+    k, m = seq.k, len(seq.symbols)
+    best = (k,)  # above every image, whose symbols are below k
     for u in units(k):
-        table = {s: code(u * s % k) for s in present}
-        low = run = min(table.values())
-        if best is not None and low > best[:w]:
-            continue
-        while best and best.startswith(run + low):  # the leading run of the best
-            run += low
-        for variant, image in zip(variants, images):
-            doubled = image(table) * 2
-            if run not in doubled:
-                break  # S^R has the runs of S
-            r = doubled.find(run)
-            while 0 <= r < end:
-                if best is None or doubled[r:r + end] < best:
-                    best, found = doubled[r:r + end], (u, variant, r // w)
-                r = doubled.find(run, r + 1)
-    u, variant, r = found
-    return PeriodicSequence(tuple([u * s % k for s in variant[r:] + variant[:r]]), k)
+        for variant in (seq.symbols, seq.symbols[::-1]):
+            image = tuple([u * s % k for s in variant])
+            low = min(image)
+            if low <= best[0]:
+                doubled = image * 2
+                for r in range(m):
+                    if image[r] == low and doubled[r:r + m] < best:
+                        best = doubled[r:r + m]
+    return PeriodicSequence(best, k)
 
 
 def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:

@@ -663,9 +663,9 @@ class TestSearch:
         assert "No such option" in result.output and flag in result.output
         assert "Traceback" not in result.output
 
-    def test_nothing_found_text(self, runner):
+    def test_nothing_found_text(self, runner, tmp_path):
         """A search that records no walk says so in words, not `None`,
-        keeps JSON's null, and exits 1."""
+        keeps JSON's null, exits 1 and still writes its certificate."""
         args = ["search", "--n", "3", "--k", "4", "--budget", "1"]
         result = runner.invoke(main, args)
         assert result.exit_code == 1
@@ -674,6 +674,13 @@ class TestSearch:
         result = runner.invoke(main, args + ["--format", "json"])
         assert result.exit_code == 1
         assert json.loads(result.stdout)["sequence"] is None
+        cert = tmp_path / "cert.txt"
+        result = runner.invoke(main, args + ["--certificate", str(cert)])
+        assert result.exit_code == 1
+        lines = cert.read_text().splitlines()
+        for line in ("period=0", "optimal=false", "sequence=",
+                     "verifier=no sequence found"):
+            assert line in lines
 
     def test_budget_exhausted_exits_three(self, runner):
         result = runner.invoke(
@@ -688,6 +695,38 @@ class TestSearch:
         text = cert.read_text()
         assert "period=3" in text
         assert "optimal=true" in text
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("args, option", [
+        (["search", "--n", "2", "--k", "3", "--certificate"], "--certificate"),
+        (["search", "--n", "2", "--k", "3", "--output"], "--output"),
+        (["export-dot", "--n", "2", "--k", "3", "--output"], "--output"),
+    ], ids=["search-certificate", "search-output", "export-dot-output"])
+    def test_unwritable_file_exits_two(self, runner, args, option):
+        """A write that fails (the device is full) is a one-line error that
+        names the option and the reason, not a traceback or a silent exit 0."""
+        result = runner.invoke(main, args + ["/dev/full"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.endswith(
+            f"Error: cannot write {option}: No space left on device\n")
+        assert "Traceback" not in result.output
+
+    def test_unwritable_stdout(self):
+        """A full stdout exits 2 with one line; a closed pipe is left to
+        click, which exits 1 without a word."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        targets = [(write_end, 1, "")]
+        if os.path.exists("/dev/full"):
+            targets.append((os.open("/dev/full", os.O_WRONLY), 2,
+                            "Error: cannot write stdout: No space left on device\n"))
+        for fd, code, stderr in targets:
+            proc = subprocess.run(
+                [sys.executable, "-m", "negaseq.cli", "bound", "--n", "2", "--k", "3"],
+                stdout=fd, stderr=subprocess.PIPE, text=True, env=_src_env())
+            os.close(fd)
+            assert (proc.returncode, proc.stderr) == (code, stderr)
 
     def test_json_names_the_flow_bound(self, runner):
         """The record carries F // 2 where the search computed it, and null

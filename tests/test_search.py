@@ -135,6 +135,7 @@ class TestCanonicalize:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 9).flatmap(lambda k: st.tuples(
         st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=30))))
+    @example((HUGE_K, [HUGE_K - 1, 5] * 2))
     def test_equals_minimum_over_all_rotations(self, case):
         k, symbols = case
         seq = PeriodicSequence(tuple(symbols), k)
