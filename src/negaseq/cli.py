@@ -14,6 +14,7 @@ The records are NamedTuples or slot classes: defining them generates no code.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -115,8 +116,10 @@ def _emit(payload, fmt: str, text: str, output=None, option="--output") -> None:
     except BrokenPipeError:  # a closed pipe, as in `| head`: click's to handle
         raise
     except OSError as exc:  # exit 2, like a path that cannot be opened
-        target = option if output else "stdout"
-        click.echo(f"Error: cannot write {target}: {exc.strerror}", err=True)
+        if output is None or output.name == "<stdout>":  # `--output -` too
+            option = "stdout"  # devnull takes the bytes the flush at exit retries
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        click.echo(f"Error: cannot write {option}: {exc.strerror}", err=True)
         sys.exit(2)
 
 

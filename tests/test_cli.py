@@ -712,9 +712,11 @@ class TestSearch:
             f"Error: cannot write {option}: No space left on device\n")
         assert "Traceback" not in result.output
 
-    def test_unwritable_stdout(self):
-        """A full stdout exits 2 with one line; a closed pipe is left to
-        click, which exits 1 without a word."""
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout(self, unbuffered):
+        """A full stdout exits 2 with one line, also when the unwritten bytes
+        wait in stdout's buffer for the flush at exit; a closed pipe is left
+        to click, which exits 1 without a word."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         targets = [(write_end, 1, "")]
@@ -724,7 +726,8 @@ class TestSearch:
         for fd, code, stderr in targets:
             proc = subprocess.run(
                 [sys.executable, "-m", "negaseq.cli", "bound", "--n", "2", "--k", "3"],
-                stdout=fd, stderr=subprocess.PIPE, text=True, env=_src_env())
+                stdout=fd, stderr=subprocess.PIPE, text=True,
+                env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered))
             os.close(fd)
             assert (proc.returncode, proc.stderr) == (code, stderr)
 

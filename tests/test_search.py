@@ -73,7 +73,7 @@ def oracle_canonicalize(seq):
     return PeriodicSequence(best, k)
 
 
-# Above 0x10FFFF, the largest code point, with few units for its size:
+# A wide alphabet with few units for its size, so the oracles cover large k:
 # 2^2 * 3 * 5 * 7 * 11 * 13 * 19 has 207360.
 HUGE_K = 1141140
 
