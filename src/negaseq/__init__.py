@@ -7,6 +7,7 @@ Submodules:
 * verify  -- window-sequence / NOS / OS verdicts with failure witnesses
 * bounds  -- period upper bounds and reference-table regression
 * search  -- exhaustive search for maximum-period NOS
+* flow    -- the parity flow bound F // 2, where the search stops
 * cli     -- command-line front end
 
 The names in `__all__` are loaded from their submodule on first access

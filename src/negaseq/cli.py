@@ -13,6 +13,7 @@ The records are NamedTuples or slot classes: defining them generates no code.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -112,9 +113,9 @@ def _emit(payload, fmt: str, text: str, output=None, option="--output") -> None:
 
         text = json.dumps(payload, sort_keys=True) + "\n"
     try:
+        if output is None and sys.stdout is None:  # fd 1 closed: echo would drop it
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         click.echo(text, nl=False, file=output)  # flushes: a failed write raises here
-    except BrokenPipeError:  # a closed pipe, as in `| head`: click's to handle
-        raise
     except OSError as exc:  # exit 2, like a path that cannot be opened
         if output is None or output.name == "<stdout>":  # `--output -` too
             option = "stdout"  # devnull takes the bytes the flush at exit retries
@@ -144,6 +145,8 @@ class Command(click.Command):
 @click.group()
 def main():
     """Analyze negative orientable sequences (NOS) over Z_k, k > 2."""
+    if sys.stdin is None:  # fd 0 closed: read it as empty, like </dev/null
+        sys.stdin = open(os.devnull)
 
 
 main.command_class = Command  # so each subcommand below maps library errors
@@ -289,7 +292,7 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
 @main.command()
 @N_OPTION
 @K_OPTION
-@click.option("--seed-file", type=click.File("r"), default=None,
+@click.option("--seed-file", type=click.File("r", errors="surrogateescape"), default="-",
               help="Sequences to verify, one per line; default stdin.")
 @click.option("--property", "prop", type=click.Choice(["window", "nos", "os"]),
               default="nos", show_default=True)
@@ -301,8 +304,7 @@ def verify(n, k, seed_file, prop, fmt):
     check = {"window": verify_mod.is_window_sequence,
              "nos": verify_mod.is_nos,
              "os": verify_mod.is_os}[prop]
-    stream = seed_file if seed_file is not None else sys.stdin
-    sequences = list(verify_mod.read_sequences(stream, k))
+    sequences = list(verify_mod.read_sequences(seed_file, k))
     any_invalid = False
     for seq in sequences:
         verdict = check(seq, n)

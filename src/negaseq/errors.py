@@ -28,4 +28,6 @@ class NotAnNosError(NegaseqError):
 
 class InternalConsistencyError(NegaseqError):
     """A closed-form numerator came out odd, two routes to a bound disagree,
-    or the search found a non-NOS walk or a walk longer than the bound."""
+    the search found a non-NOS walk or a walk longer than the bound, or the
+    flow bound failed: `flow_bound` met an excess with no path to a deficit,
+    or the search found F // 2 above `nos_bound` or below a recorded walk."""

@@ -624,6 +624,31 @@ class TestVerify:
         assert payloads[0]["valid"] is True
         assert payloads[1]["valid"] is False
 
+    @pytest.mark.parametrize("source", ["seed-file", "stdin"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, source):
+        """A file and stdin are read alike, even under a strict stdin
+        encoding: a byte that is not UTF-8 is a malformed symbol."""
+        path = tmp_path / "seqs.txt"
+        path.write_bytes(b"0,1\n0,1,\xff\n")
+        args = ["--seed-file", str(path)] if source == "seed-file" else []
+        with open(path, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3",
+                 *args], stdin=stdin, capture_output=True, text=True,
+                env=dict(_src_env(), PYTHONIOENCODING="utf-8:strict"))
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(
+            "Error: line 2: symbol '\\udcff' is not a decimal number\n")
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_stdin_reads_as_empty(self):
+        """With fd 0 closed, verify reads no sequence, like </dev/null."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3"],
+            capture_output=True, text=True, preexec_fn=lambda: os.close(0),
+            env=_src_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
     def test_window_property(self, runner):
         result = runner.invoke(
             main, ["verify", "--n", "2", "--k", "3", "--property", "window"],
@@ -714,12 +739,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_unwritable_stdout(self, unbuffered):
-        """A full stdout exits 2 with one line, also when the unwritten bytes
-        wait in stdout's buffer for the flush at exit; a closed pipe is left
-        to click, which exits 1 without a word."""
+        """A full stdout or a closed pipe exits 2 with one line, also when the
+        unwritten bytes wait in stdout's buffer for the flush at exit."""
         read_end, write_end = os.pipe()
         os.close(read_end)
-        targets = [(write_end, 1, "")]
+        targets = [(write_end, 2, "Error: cannot write stdout: Broken pipe\n")]
         if os.path.exists("/dev/full"):
             targets.append((os.open("/dev/full", os.O_WRONLY), 2,
                             "Error: cannot write stdout: No space left on device\n"))
@@ -730,6 +754,28 @@ class TestSearch:
                 env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered))
             os.close(fd)
             assert (proc.returncode, proc.stderr) == (code, stderr)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_two(self, unbuffered):
+        """With fd 1 closed, Python's sys.stdout is None and click.echo would
+        drop the result; it is an unwritable stdout instead."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "negaseq.cli", "bound", "--n", "2", "--k", "3"],
+            stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+            env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered))
+        assert (proc.returncode, proc.stderr) == (
+            2, "Error: cannot write stdout: Bad file descriptor\n")
+
+    def test_pipe_closed_mid_write(self):
+        """`export-dot | head -c 0`: the 203 KB of DOT overrun the pipe's
+        buffer, so the write meets the closed pipe whenever the reader quits."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "negaseq.cli", "export-dot", "--n", "6", "--k", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env())
+        proc.stdout.close()
+        assert (proc.wait(), proc.stderr.read()) == (
+            2, "Error: cannot write stdout: Broken pipe\n")
+        proc.stderr.close()
 
     def test_json_names_the_flow_bound(self, runner):
         """The record carries F // 2 where the search computed it, and null

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from negaseq import flow as flow_mod
-from negaseq.bounds import nos_bound
+from negaseq.bounds import load_reference_table, nos_bound
 from negaseq.errors import InternalConsistencyError
 from negaseq.flow import flow_bound
 from negaseq.search import SearchConfig, certify, max_nos_search
@@ -113,6 +113,15 @@ def test_equals_dfs_certified_maximum(dfs_only, n, k):
     (5, 5, 1506), (8, 3, 3087), (7, 3, 1011), (6, 4, 1950)])
 def test_pinned(n, k, half):
     assert flow_bound(n, k) == 2 * half
+
+
+def test_split_arc_raise_at_8_4():
+    """(8, 4) is the one cell with k^n <= 120000 whose augmenting paths
+    raise a split arc (twice); F lies between twice the longest known NOS
+    and twice the bound."""
+    F = flow_bound(8, 4)
+    assert F == 64532
+    assert 2 * load_reference_table()[8, 4].best_known <= F <= 2 * nos_bound(8, 4).value
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 1), (0, 3)])
