@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import InternalConsistencyError
@@ -101,11 +102,9 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
     line and the column.
     """
     try:
-        if path is None:
-            text = (resources.files("negaseq") / "data" / "reference_bounds.csv").read_text()
-        else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+        source = (resources.files("negaseq") / "data" / "reference_bounds.csv"
+                  if path is None else Path(path))
+        text = source.read_text(encoding="utf-8")
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln and not ln.startswith("#")]
         reader = csv.DictReader(ln for _, ln in numbered)

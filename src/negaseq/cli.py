@@ -8,7 +8,7 @@ to these codes for every subcommand.
 
 Each command imports the modules it runs inside its body, so a cold start
 compiles only those (`classify` and `count` need nothing past `tuples`).
-The records are NamedTuples or slot classes: defining them generates no code.
+The records are NamedTuples or `Symbols` slot classes; none is a dataclass.
 """
 
 from __future__ import annotations

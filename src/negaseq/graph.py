@@ -128,26 +128,21 @@ class SequenceSubgraph(NamedTuple):
     # edge code -> (stream, window index), stream in {"S", "-S^R"}
     edge_origin: dict[int, tuple[str, int]]
 
-    @property
-    def edge_codes(self):
-        """The edge codes, as a set-like view of `edge_origin`'s keys."""
-        return self.edge_origin.keys()
-
     def edge_count(self) -> int:
         return len(self.edge_origin)
 
     def is_balanced(self) -> bool:
         """Each vertex heads (code % k^(n-1)) as many edges as it tails (code // k)."""
         num_vertices = self.k ** (self.n - 1)
-        heads = Counter([c % num_vertices for c in self.edge_codes])
-        return heads == Counter([c // self.k for c in self.edge_codes])
+        heads = Counter([c % num_vertices for c in self.edge_origin])
+        return heads == Counter([c // self.k for c in self.edge_origin])
 
     def has_negasymmetric_edge(self) -> bool:
-        return any(nega_reverse_code(c, self.n, self.k) == c for c in self.edge_codes)
+        return any(nega_reverse_code(c, self.n, self.k) == c for c in self.edge_origin)
 
     def closed_under_nega_reverse(self) -> bool:
-        return all(nega_reverse_code(c, self.n, self.k) in self.edge_codes
-                   for c in self.edge_codes)
+        return all(nega_reverse_code(c, self.n, self.k) in self.edge_origin
+                   for c in self.edge_origin)
 
 
 def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
@@ -224,7 +219,7 @@ def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
         word = g.vertex_word(vcode)
         names.append(sep.join(map(str, word.symbols)))
         lines.append(f'  "{names[-1]}" [{_vertex_attrs(structural_flags(word))}];')
-    edge_codes = g.edges() if graph is g else sorted(graph.edge_codes)
+    edge_codes = g.edges() if graph is g else sorted(graph.edge_origin)
     for ecode in edge_codes:
         tail = names[ecode // k]  # an edge's label is its tail plus one symbol
         lines.append(f'  "{tail}" -> "{names[ecode % g.num_vertices]}" '

@@ -25,7 +25,9 @@ budget runs out: the expansion count is tested inline after every
 expansion and the wall clock after every 4096th.  It stops where it is,
 without unwinding the walk.  The target is `nos_bound` until the k^n-th
 expansion, where the parity flow bound F // 2 (`flow`, docs/flow_bound.md)
-is computed, once, and becomes the target.
+is computed, once, and becomes the target.  Under a time budget the bound
+gets half the time left; if it gives up, the target stays `nos_bound` and
+the DFS goes on with the other half.
 
 A walk is recorded, and verified with `is_nos`, when it closes at least
 as long as the incumbent, and it replaces the incumbent only if it is
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 try:  # SHA-256 without hashlib, which loads OpenSSL
@@ -60,8 +63,8 @@ except ImportError:
 from .errors import GraphSizeError, InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import (Record, check_graph_params, negasymmetric_codes,
-                     partner_halves, printable_power)
+from .tuples import (check_graph_params, negasymmetric_codes, partner_halves,
+                     printable_power)
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -69,17 +72,21 @@ MAX_CODES = 2**24
 FLOW_BOUND_AFTER = 1  # expansions per edge code before the flow bound is computed
 
 
-class SearchConfig(Record):
-    __slots__ = _fields = ("n", "k", "node_budget", "time_budget")
+class SearchConfig(namedtuple("SearchConfig", "n k node_budget time_budget")):
+    __slots__ = ()
 
-    def __init__(self, n: int, k: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                 time_budget: Optional[float] = None):  # seconds of wall clock
+    def __new__(cls, n: int, k: int, node_budget: int = DEFAULT_NODE_BUDGET,
+                time_budget: Optional[float] = None):  # seconds of wall clock
         check_graph_params(n, k)
         if node_budget <= 0:
             raise ValueError("node budget must be positive")
         if time_budget is not None and not time_budget > 0:  # NaN too
             raise ValueError("time budget must be positive")
-        super().__init__(n, k, node_budget, time_budget)
+        return super().__new__(cls, n, k, node_budget, time_budget)
+
+    @classmethod
+    def _make(cls, iterable):  # so that `_replace` is checked too
+        return cls(*iterable)
 
 
 class SearchResult(NamedTuple):
@@ -207,17 +214,16 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                 if expansions == flow_at:
                     from .flow import flow_bound
 
-                    F = flow_bound(n, k, deadline)
-                    if F is None:  # past the time budget
-                        aborted = True
-                        break
-                    flow = target = F // 2
-                    if not best_len <= flow <= bound:
-                        raise InternalConsistencyError(
-                            f"flow bound {flow} is above nos_bound {bound} or below "
-                            f"a walk of length {best_len} at n={n}, k={k}")
-                    if best_len >= target:
-                        break
+                    F = flow_bound(n, k, None if deadline is None
+                                   else (time.monotonic() + deadline) / 2)
+                    if F is not None:
+                        flow = target = F // 2
+                        if not best_len <= flow <= bound:
+                            raise InternalConsistencyError(
+                                f"flow bound {flow} is above nos_bound {bound} or below "
+                                f"a walk of length {best_len} at n={n}, k={k}")
+                        if best_len >= target:
+                            break
                 if expansions >= node_budget or (
                         deadline is not None and expansions % 4096 == 0
                         and time.monotonic() > deadline):

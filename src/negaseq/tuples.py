@@ -25,44 +25,12 @@ from .errors import EnumerationBudgetError
 ENUMERATION_BUDGET = 10**7
 
 
-class Record:
-    """An immutable value with the slots named in `_fields`: equal and hashed
-    by their values, only against its own class, and shown as a constructor
-    call with keywords.  Copies and pickles are rebuilt through `__init__`."""
-
-    __slots__ = _fields = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = zip(self._fields, self._values())
-        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Symbols(Record):
+class Symbols:
     """A nonempty tuple of residues mod k >= 3: the shared part of `Word` and
-    `verify.PeriodicSequence`.  Each subclass names itself in the errors."""
+    `verify.PeriodicSequence`.  Each subclass names itself in the errors.  An
+    immutable value, equal and hashed by its two fields only against its own
+    class, and shown as a constructor call with keywords.  Copies and pickles
+    are rebuilt through `__init__`, so they are checked again."""
 
     __slots__ = _fields = ("symbols", "k")
     _noun = _k_note = ""
@@ -76,6 +44,25 @@ class Symbols(Record):
             raise ValueError(f"symbols {symbols} out of range for k={k}")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbols == other.symbols and self.k == other.k
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.k))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(symbols={self.symbols!r}, k={self.k!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.symbols, self.k)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -150,12 +150,38 @@ class TestSearchStop:
             assert "flow_bound" not in certify(r)
 
     def test_passed_deadline(self):
-        """A passed deadline gives no bound, and the search, whose incumbent
-        at (3, 3) already meets F // 2, stops uncertified."""
+        """A passed deadline gives no bound, and the search goes on with
+        nos_bound as its target until its own clock check at the 4096th
+        expansion: (3, 3) is exhausted first, so its maximum is certified by
+        the DFS alone."""
         assert flow_bound(3, 4, deadline=time.monotonic() - 1) is None
         r = max_nos_search(SearchConfig(n=3, k=3, time_budget=1e-9))
         assert (r.period, r.optimal, r.flow_bound, r.expansions) == (
-            10, False, None, 27)
+            10, True, None, 911)
+
+    def test_passed_deadline_stops_at_the_clock_check(self):
+        """(3, 4) is not exhausted by its 4096th expansion, where the DFS
+        reads the clock, finds the budget spent and stops uncertified."""
+        r = max_nos_search(SearchConfig(n=3, k=4, time_budget=1e-9))
+        assert (r.period, r.optimal, r.flow_bound, r.expansions) == (
+            24, False, None, 4096)
+
+    def test_bound_gets_half_the_time_left(self, monkeypatch):
+        """The flow bound's deadline is halfway between the k^n-th expansion
+        and the search's deadline; when it gives up, the DFS still runs to
+        the end."""
+        deadlines = []
+
+        def gives_up(n, k, deadline):
+            deadlines.append(deadline)
+
+        monkeypatch.setattr(flow_mod, "flow_bound", gives_up)
+        before = time.monotonic()
+        r = max_nos_search(SearchConfig(n=3, k=3, time_budget=60))
+        after = time.monotonic()
+        assert len(deadlines) == 1 and before + 30 <= deadlines[0] <= after + 30
+        assert (r.period, r.optimal, r.flow_bound, r.expansions) == (
+            10, True, None, 911)
 
     @pytest.mark.parametrize("F, match", [(52, "above nos_bound 25"),
                                           (40, "below a walk of length 22")])

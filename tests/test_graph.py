@@ -220,7 +220,7 @@ class TestSequenceSubgraph:
             s = PeriodicSequence(symbols, k).normalized()
             expected = {stream.window(i, n).code()
                         for stream in (s, s.nega_reverse()) for i in range(len(s))}
-            assert sub.edge_codes == expected
+            assert sub.edge_origin.keys() == expected
             assert sub.edge_origin[s.window(1, n).code()] == ("S", 1)
             assert sub.edge_origin[s.nega_reverse().window(2, n).code()] == ("-S^R", 2)
             assert sub.is_balanced()

@@ -28,6 +28,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=2, k=3, time_budget=-1.0)
 
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError) as err:
+            SearchConfig(3, 4)._replace(k=2)
+        assert str(err.value) == "need n >= 2 and k >= 3, got n=3, k=2"
+
     def test_nan_time_budget_is_refused(self):
         # NaN compares false with everything, so `<= 0` would let it through.
         with pytest.raises(ValueError, match="time budget must be positive"):
@@ -488,6 +493,16 @@ class TestRecordChecks:
                            match="length 10: 0,1,0,2,1,1,2,2,4,2$"):
             max_nos_search(SearchConfig(n=2, k=5))
         assert len(calls) == 6
+
+    def test_walk_above_the_bound_raises(self, monkeypatch):
+        """A closed walk longer than the proven bound stops the search."""
+        real = search_mod.nos_bound
+        monkeypatch.setattr(search_mod, "nos_bound",
+                            lambda n, k: real(n, k)._replace(value=1))
+        with pytest.raises(InternalConsistencyError) as err:
+            max_nos_search(SearchConfig(n=3, k=3))
+        assert str(err.value) == ("walk of length 3 exceeds the proven bound 1 "
+                                  "at n=3, k=3")
 
 
 class TestBudgets:
