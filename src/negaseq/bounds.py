@@ -118,6 +118,10 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
             entries[(n, k)] = ReferenceEntry(
                 n=n, k=k, new_bound=new, old_bound=old, best_known=best,
                 maximal=None if maximal is None else bool(maximal))
+        for column in ReferenceEntry._fields:  # also a header with no row under it
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"line {numbered[0][0] if numbered else 1}: "
+                                 f"no column {column!r}")
         return entries
     except (OSError, ValueError) as exc:  # OSError: a directory, or unreadable
         source = path if path is not None else "packaged reference_bounds.csv"

@@ -161,8 +161,6 @@ def classify(k, tuple_text, fmt):
     """Classification flags for one tuple."""
     w = tuples_mod.Word(tuples_mod.parse_symbols(tuple_text), k)
     flags = tuples_mod.structural_flags(w)
-    if len(w) < 2:  # a 1-tuple's sns flags are vacuous; report them undefined
-        flags.update(left_sns=None, right_sns=None)
     payload = {"tuple": str(w), "k": k, "flags": flags}
     text = f"tuple {w} over Z_{k}\n" + "".join(
         f"  {name}: {value}\n" for name, value in flags.items())

@@ -153,6 +153,7 @@ def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:
     naming both windows, as a duplicate certifies that S is not an NOS of
     order n.  -S^R is coded only once S's m codes are known distinct.
     """
+    check_graph_params(n, seq.k)
     seq = seq.normalized()
     k, origin = seq.k, {}
     for name in ("S", "-S^R"):

@@ -3,9 +3,9 @@
 A "word" here is a fixed-length tuple of residues mod k with the alphabet
 size carried alongside.  The structural predicates (negasymmetric, uniform,
 alternating, uniform-alternating, left/right semi-negasymmetric) drive both
-the reduced de Bruijn graph and the period-bound bookkeeping.  Each tuple
-class is one row of a table (`_CLASSES`): its smallest n, its closed-form
-count and the predicates that must hold and must fail.  The counts share
+the reduced de Bruijn graph and the period-bound bookkeeping.  Each
+`TupleClass` member carries its row: its smallest n, its closed-form count
+and the predicates that must hold and must fail.  The counts share
 two facts, each written once: the number e(k) of self-negating residues,
 and the sns count k * negasymmetric(n-1).  Every closed count has a
 brute-force enumeration oracle (`enumerate_class`), so each row is
@@ -103,16 +103,16 @@ class Word(Symbols):
         return len(set(self.symbols)) == 1
 
     def is_alternating(self) -> bool:
-        """Even positions carry one value, odd positions another, distinct."""
-        self._require_length(2, "alternating")
+        """Even positions carry one value, odd positions another, distinct;
+        False for a 1-tuple, which has no odd position."""
         s = self.symbols
-        return s[0] != s[1] and s[2:] == s[:-2]
+        return len(s) > 1 and s[0] != s[1] and s[2:] == s[:-2]
 
     def is_uniform_alternating(self) -> bool:
-        """Each symbol is the mod-k negation of its predecessor."""
-        self._require_length(2, "uniform-alternating")
+        """Each symbol is the mod-k negation of its predecessor; False for a
+        1-tuple, as for `is_alternating`."""
         s = self.symbols
-        return s[1] == -s[0] % self.k and s[2:] == s[:-2]
+        return len(s) > 1 and s[1] == -s[0] % self.k and s[2:] == s[:-2]
 
     def is_left_sns(self) -> bool:
         """Prefix of length n-1 is negasymmetric (semi-negasymmetric on the left).
@@ -126,10 +126,6 @@ class Word(Symbols):
         """Suffix of length n-1 is negasymmetric."""
         suffix = self.symbols[1:]
         return suffix == nega_reverse_symbols(suffix, self.k)
-
-    def _require_length(self, minimum: int, what: str) -> None:
-        if len(self.symbols) < minimum:
-            raise ValueError(f"{what} is only defined for length >= {minimum}")
 
     def code(self) -> int:
         """Base-k integer code, leftmost symbol most significant."""
@@ -152,14 +148,12 @@ def parse_symbols(text: str) -> tuple[int, ...]:
 
 
 def structural_flags(w: Word) -> dict[str, bool]:
-    """The six structural flags of w.  The alternating predicates need
-    length >= 2; a shorter word is neither alternating nor uniform-alternating."""
-    long_enough = len(w) >= 2
+    """The six structural flags of w."""
     return {
         "negasymmetric": w.is_negasymmetric(),
         "uniform": w.is_uniform(),
-        "alternating": long_enough and w.is_alternating(),
-        "uniform_alternating": long_enough and w.is_uniform_alternating(),
+        "alternating": w.is_alternating(),
+        "uniform_alternating": w.is_uniform_alternating(),
         "left_sns": w.is_left_sns(),
         "right_sns": w.is_right_sns(),
     }
@@ -241,25 +235,6 @@ def negasymmetric_codes(K: int, low: list[int], high: list[int]) -> list[int]:
 
 # -- tuple classes and counting ------------------------------------------
 
-class TupleClass(Enum):
-    NEGASYMMETRIC = "negasymmetric"
-    UNIFORM = "uniform"
-    ALTERNATING = "alternating"
-    UNIFORM_ALTERNATING = "uniform-alternating"
-    UNIFORM_AND_UNIFORM_ALTERNATING = "uniform-and-uniform-alternating"
-    UNIFORM_NEGASYMMETRIC = "uniform-negasymmetric"
-    UNIFORM_ALTERNATING_NEGASYMMETRIC = "uniform-alternating-negasymmetric"
-    ALTERNATING_NEGASYMMETRIC = "alternating-negasymmetric"
-    LEFT_SNS = "left-sns"
-    RIGHT_SNS = "right-sns"
-    NON_UNIFORM_LEFT_SNS = "non-uniform-left-sns"
-    NON_UNIFORM_RIGHT_SNS = "non-uniform-right-sns"
-    NON_UNIFORM_ALTERNATING_LEFT_SNS = "non-uniform-alternating-left-sns"
-    NON_UNIFORM_ALTERNATING_RIGHT_SNS = "non-uniform-alternating-right-sns"
-    NON_UNIFORM_NON_ALTERNATING_LEFT_SNS = "non-uniform-non-alternating-left-sns"
-    NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS = "non-uniform-non-alternating-right-sns"
-
-
 def _self_negating(k: int) -> int:
     """e(k): the residues c with 2c == 0 mod k, 0 alone or 0 and k/2."""
     return 2 - k % 2
@@ -275,54 +250,64 @@ def _sns(n: int, k: int, e: int) -> int:
     return k * _negasymmetric(n - 1, k, e)
 
 
-# One row per class: the smallest n its closed form covers, whether the
-# count grows with n, the closed form in (n, k, e) with e = e(k) above, the
-# predicates that must hold and those that must fail.  "Non-uniform-
-# alternating" means "not uniform-alternating".  The non-alternating closed
-# forms count alternating (n-1)-tuples, which only exist for n >= 3.
-_CLASSES = {
-    TupleClass.NEGASYMMETRIC: (1, True, _negasymmetric, (Word.is_negasymmetric,), ()),
-    TupleClass.UNIFORM: (2, False, lambda n, k, e: k, (Word.is_uniform,), ()),
-    TupleClass.ALTERNATING:
-        (2, False, lambda n, k, e: k * (k - 1), (Word.is_alternating,), ()),
-    TupleClass.UNIFORM_ALTERNATING:
-        (2, False, lambda n, k, e: k, (Word.is_uniform_alternating,), ()),
-    TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
-        (2, False, lambda n, k, e: e,
-         (Word.is_uniform, Word.is_uniform_alternating), ()),
-    TupleClass.UNIFORM_NEGASYMMETRIC:
-        (2, False, lambda n, k, e: e, (Word.is_uniform, Word.is_negasymmetric), ()),
-    TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
-        (2, False, lambda n, k, e: e if n % 2 else k,
-         (Word.is_uniform_alternating, Word.is_negasymmetric), ()),
-    TupleClass.ALTERNATING_NEGASYMMETRIC:
-        (2, False, lambda n, k, e: 2 * e - 2 if n % 2 else k - e,
-         (Word.is_alternating, Word.is_negasymmetric), ()),
-    TupleClass.LEFT_SNS: (2, True, _sns, (Word.is_left_sns,), ()),
-    TupleClass.RIGHT_SNS: (2, True, _sns, (Word.is_right_sns,), ()),
-    TupleClass.NON_UNIFORM_LEFT_SNS: (2, True, lambda n, k, e: _sns(n, k, e) - e,
-                                      (Word.is_left_sns,), (Word.is_uniform,)),
-    TupleClass.NON_UNIFORM_RIGHT_SNS: (2, True, lambda n, k, e: _sns(n, k, e) - e,
-                                       (Word.is_right_sns,), (Word.is_uniform,)),
-    TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
-        (2, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
-         (Word.is_left_sns,), (Word.is_uniform_alternating,)),
-    TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
-        (2, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
-         (Word.is_right_sns,), (Word.is_uniform_alternating,)),
-    TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
-        (3, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
-         (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating)),
-    TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
-        (3, True, lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
-         (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating)),
-}
+class TupleClass(Enum):
+    """A tuple class: its name, then its row, the smallest n its closed form
+    covers, whether the count grows with n, the closed form in (n, k, e) with
+    e = e(k) above, the predicates that must hold and those that must fail.
+    "Non-uniform-alternating" means "not uniform-alternating".  The non-
+    alternating closed forms count alternating (n-1)-tuples, which only exist
+    for n >= 3."""
+
+    def __new__(cls, value: str, *row):
+        member = object.__new__(cls)
+        member._value_, member.row = value, row
+        return member
+
+    NEGASYMMETRIC = "negasymmetric", 1, True, _negasymmetric, (Word.is_negasymmetric,), ()
+    UNIFORM = "uniform", 2, False, lambda n, k, e: k, (Word.is_uniform,), ()
+    ALTERNATING = ("alternating", 2, False, lambda n, k, e: k * (k - 1),
+                   (Word.is_alternating,), ())
+    UNIFORM_ALTERNATING = ("uniform-alternating", 2, False, lambda n, k, e: k,
+                           (Word.is_uniform_alternating,), ())
+    UNIFORM_AND_UNIFORM_ALTERNATING = (
+        "uniform-and-uniform-alternating", 2, False, lambda n, k, e: e,
+        (Word.is_uniform, Word.is_uniform_alternating), ())
+    UNIFORM_NEGASYMMETRIC = ("uniform-negasymmetric", 2, False, lambda n, k, e: e,
+                             (Word.is_uniform, Word.is_negasymmetric), ())
+    UNIFORM_ALTERNATING_NEGASYMMETRIC = (
+        "uniform-alternating-negasymmetric", 2, False, lambda n, k, e: e if n % 2 else k,
+        (Word.is_uniform_alternating, Word.is_negasymmetric), ())
+    ALTERNATING_NEGASYMMETRIC = (
+        "alternating-negasymmetric", 2, False, lambda n, k, e: 2 * e - 2 if n % 2 else k - e,
+        (Word.is_alternating, Word.is_negasymmetric), ())
+    LEFT_SNS = "left-sns", 2, True, _sns, (Word.is_left_sns,), ()
+    RIGHT_SNS = "right-sns", 2, True, _sns, (Word.is_right_sns,), ()
+    NON_UNIFORM_LEFT_SNS = ("non-uniform-left-sns", 2, True, lambda n, k, e: _sns(n, k, e) - e,
+                            (Word.is_left_sns,), (Word.is_uniform,))
+    NON_UNIFORM_RIGHT_SNS = ("non-uniform-right-sns", 2, True, lambda n, k, e: _sns(n, k, e) - e,
+                             (Word.is_right_sns,), (Word.is_uniform,))
+    NON_UNIFORM_ALTERNATING_LEFT_SNS = (
+        "non-uniform-alternating-left-sns", 2, True,
+        lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
+        (Word.is_left_sns,), (Word.is_uniform_alternating,))
+    NON_UNIFORM_ALTERNATING_RIGHT_SNS = (
+        "non-uniform-alternating-right-sns", 2, True,
+        lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
+        (Word.is_right_sns,), (Word.is_uniform_alternating,))
+    NON_UNIFORM_NON_ALTERNATING_LEFT_SNS = (
+        "non-uniform-non-alternating-left-sns", 3, True,
+        lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
+        (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating))
+    NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS = (
+        "non-uniform-non-alternating-right-sns", 3, True,
+        lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
+        (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating))
 
 
 def _row(cls: TupleClass) -> tuple:
     if not isinstance(cls, TupleClass):
         raise ValueError(f"unknown class {cls}")
-    return _CLASSES[cls]
+    return cls.row
 
 
 def class_predicate(cls: TupleClass, w: Word) -> bool:
@@ -348,7 +333,7 @@ def count_class(cls: TupleClass, n: int, k: int) -> int:
     """Closed-form count of the class among all k-ary n-tuples: the formula
     in the class's row, pinned against the enumeration oracle row by row."""
     _check_count_args(cls, n, k)
-    return _CLASSES[cls][2](n, k, _self_negating(k))
+    return cls.row[2](n, k, _self_negating(k))
 
 
 def printable_power(k: int, n: int) -> Optional[int]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -378,18 +379,30 @@ class TestClassify:
         validate(payload)
         assert payload["flags"]["negasymmetric"] is True
 
-    def test_one_tuple_leaves_sns_undefined(self, runner):
+    def test_one_tuple_is_sns_and_not_alternating(self, runner):
+        # Its empty prefix and suffix are negasymmetric.
         result = runner.invoke(main, ["classify", "--k", "3", "--tuple", "1"])
         assert result.exit_code == 0
-        assert "  left_sns: None\n  right_sns: None\n" in result.output
+        assert "  left_sns: True\n  right_sns: True\n" in result.output
         assert "  alternating: False\n" in result.output
         result = runner.invoke(
             main, ["classify", "--k", "3", "--tuple", "1", "--format", "json"])
         payload = json.loads(result.output)
         validate(payload)
-        assert payload["flags"]["left_sns"] is None
-        assert payload["flags"]["right_sns"] is None
+        assert payload["flags"]["left_sns"] is True
+        assert payload["flags"]["right_sns"] is True
         assert payload["flags"]["alternating"] is False
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
+    def test_flags_match_profile(self, runner, n, k):
+        def flags(*args):
+            result = runner.invoke(main, [*args, "--k", str(k), "--format", "json"])
+            return json.loads(result.output)["flags"]
+
+        for label in itertools.product(range(k), repeat=n - 1):
+            text = ",".join(map(str, label))
+            assert flags("classify", "--tuple", text) == \
+                flags("profile", "--n", str(n), "--vertex", text), text
 
 
 class TestCount:
@@ -509,13 +522,15 @@ class TestBoundAndTable:
         ("n,k,new_bound\n2,3,3\n", "line 2: no value in column 'old_bound'"),
         ("# comment\nn,k,new_bound,old_bound,best_known,maximal\n2,3,x,3,3,1\n",
          "line 3: column 'new_bound' is not an integer: 'x'"),
-    ], ids=["missing-column", "non-integer"])
+        ("a,b\n", "line 1: no column 'n'"),
+    ], ids=["missing-column", "non-integer", "header-only"])
     def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
                                                     text, message):
         path = tmp_path / "reference.csv"
         path.write_text(text)
         result = runner.invoke(
-            main, ["table", "--n", "2", "--k", "3", "--reference-csv", str(path)])
+            main, ["table", "--n", "2", "--k", "3", "--reference-csv", str(path),
+                   "--check-reference"])
         assert result.exit_code == 2
         assert message in result.output
         assert "Traceback" not in result.output

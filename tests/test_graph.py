@@ -147,6 +147,11 @@ class TestSequenceSubgraph:
         sub = SequenceSubgraph(n=2, k=3, edge_origin=dict.fromkeys(codes, ("S", 0)))
         assert sub.is_balanced() is balanced
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_order_below_two_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"^need n >= 2 and k >= 3, got n={n}, k=3$"):
+            sequence_subgraph(PeriodicSequence((0, 1, 1), 3), n)
+
     def test_duplicate_raises(self):
         with pytest.raises(NotAnNosError) as err:
             sequence_subgraph(PeriodicSequence((0, 0, 1), 3), 2)

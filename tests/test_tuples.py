@@ -126,11 +126,9 @@ class TestPredicates:
         assert w([0, 0], 3).is_left_sns()
         assert w([0, 0], 3).is_right_sns()
 
-    def test_alternating_rejects_length_1(self):
-        with pytest.raises(ValueError):
-            w([1], 3).is_alternating()
-        with pytest.raises(ValueError):
-            w([1], 3).is_uniform_alternating()
+    def test_alternating_is_false_at_length_1(self):
+        assert w([1], 3).is_alternating() is False
+        assert w([1], 3).is_uniform_alternating() is False
 
     def test_alternating_implies_non_uniform(self):
         for k in (3, 4, 5):
@@ -297,8 +295,8 @@ def outcome(predicate, cls, t):
 
 
 def test_class_predicate_covers_all_classes():
-    # Every class on every word with n = 1..5, k = 3..6; at n = 1 the
-    # alternating predicates raise, and the outcome is the exception type.
+    # Every class on every word with n = 1..5, k = 3..6; the outcome is the
+    # predicate's value, or the type of the exception if it raises.
     for n in range(1, 6):
         for k in range(3, 7):
             for symbols in itertools.product(range(k), repeat=n):
