@@ -97,24 +97,28 @@ def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Opti
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
     """Parse the reference CSV (the packaged one unless a path is given).
 
-    A file that cannot be read or decoded, a missing column or a non-integer
-    field raises ValueError that starts with the path and names the file
-    line and the column.
+    A file that cannot be read or decoded, a missing column, a non-integer
+    field or a repeated (n, k) cell raises ValueError that starts with the
+    path and names the file line.  A leading byte-order mark is skipped.
     """
     try:
         source = (resources.files("negaseq") / "data" / "reference_bounds.csv"
                   if path is None else Path(path))
-        text = source.read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8-sig")
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln and not ln.startswith("#")]
         reader = csv.DictReader(ln for _, ln in numbered)
         entries: dict[tuple[int, int], ReferenceEntry] = {}
+        first_line: dict[tuple[int, int], int] = {}
         for row in reader:
             line = numbered[reader.line_num - 1][0]
             n, k, new, old = (_int_cell(row, column, line)
                               for column in ("n", "k", "new_bound", "old_bound"))
             best, maximal = (_int_cell(row, column, line, optional=True)
                              for column in ("best_known", "maximal"))
+            if first_line.setdefault((n, k), line) != line:
+                raise ValueError(f"line {line}: n={n}, k={k} repeats line "
+                                 f"{first_line[n, k]}")
             entries[(n, k)] = ReferenceEntry(
                 n=n, k=k, new_bound=new, old_bound=old, best_known=best,
                 maximal=None if maximal is None else bool(maximal))

@@ -231,9 +231,7 @@ def profile(n, k, vertex, fmt):
     }
     text = (f"vertex {p.label}: in={p.in_degree} ({in_parity}), "
             f"out={p.out_degree} ({out_parity})\n  " + " ".join(
-                f"{name}={p.flags[name]}" for name in (
-                    "left_sns", "right_sns", "negasymmetric", "uniform",
-                    "alternating", "uniform_alternating")) + "\n")
+                f"{name}={value}" for name, value in p.flags.items()) + "\n")
     _emit(payload, fmt, text)
 
 
@@ -248,7 +246,6 @@ def bound(n, k, fmt):
     _require_printable(n, k, n)
     b = bounds_mod.nos_bound(n, k)
     breakdown = b.breakdown._asdict()
-    del breakdown["n"], breakdown["k"]
     breakdown["edge_cap"] = b.breakdown.resulting_edge_cap
     payload = {"n": n, "k": k, "bound": b.value, "regime": b.regime,
                "breakdown": breakdown}
@@ -340,6 +337,10 @@ def search(n, k, budget, time_budget, certificate_path, output, fmt):
     """Exhaustive (or budgeted) search for a maximum-period NOS."""
     from . import search as search_mod
 
+    if (output is not None and certificate_path is not None
+            and "<stdout>" not in (output.name, certificate_path.name)
+            and os.path.samefile(output.name, certificate_path.name)):
+        raise click.UsageError("--output and --certificate name the same file")
     cfg = search_mod.SearchConfig(n=n, k=k, node_budget=budget,
                                   time_budget=time_budget)
     result = search_mod.max_nos_search(cfg)

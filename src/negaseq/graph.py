@@ -243,8 +243,6 @@ class BoundBreakdown(NamedTuple):
     period bound is half the cap; both are derived, never stored.
     """
 
-    n: int
-    k: int
     N: int
     u_out: int = 0
     u_in: int = 0
@@ -282,7 +280,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
 
     if n == 2:
         p_out = 0 if k_odd else 2
-        return BoundBreakdown(n, k, N, p_out=p_out)
+        return BoundBreakdown(N, p_out=p_out)
 
     if n == 3:
         if k_odd:
@@ -292,7 +290,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
             # Uniform or alternating 2-tuples with entries in {0, k/2}.
             p = 4
             ix_pp = 2
-        return BoundBreakdown(n, k, N, p_out=p, p_in=p, ix_pp=ix_pp)
+        return BoundBreakdown(N, p_out=p, p_in=p, ix_pp=ix_pp)
 
     if n == 4:
         u_out = count_class(TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS, 3, k)
@@ -300,7 +298,7 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
             p_out = negasym_non_uniform(3)  # k - 1
         else:
             p_out = count_class(TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC, 3, k)
-        return BoundBreakdown(n, k, N, u_out=u_out, p_out=p_out)
+        return BoundBreakdown(N, u_out=u_out, p_out=p_out)
 
     n_odd = n % 2 == 1
     if n_odd and k_odd:
@@ -328,5 +326,5 @@ def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
         ix_up = ix_pu = 0
         ix_uu = k * (k - 1)
         ix_pp = 2
-    return BoundBreakdown(n, k, N, u_out=u, u_in=u, p_out=p, p_in=p,
+    return BoundBreakdown(N, u_out=u, u_in=u, p_out=p, p_in=p,
                           ix_up=ix_up, ix_pu=ix_pu, ix_uu=ix_uu, ix_pp=ix_pp)

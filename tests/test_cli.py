@@ -404,6 +404,18 @@ class TestClassify:
             assert flags("classify", "--tuple", text) == \
                 flags("profile", "--n", str(n), "--vertex", text), text
 
+    @pytest.mark.parametrize("n, k", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
+    def test_flag_order_matches_profile(self, runner, n, k):
+        """`profile`'s text line lists the flags in `classify`'s order."""
+        for label in itertools.product(range(k), repeat=n - 1):
+            text = ",".join(map(str, label))
+            lines = runner.invoke(main, ["classify", "--k", str(k), "--tuple",
+                                         text]).output.splitlines()[1:]
+            pairs = runner.invoke(main, ["profile", "--n", str(n), "--k", str(k),
+                                         "--vertex", text]).output.splitlines()[1].split()
+            assert [line.split(":")[0].strip() for line in lines] == \
+                [pair.split("=")[0] for pair in pairs], text
+
 
 class TestCount:
     def test_text(self, runner):
@@ -523,7 +535,9 @@ class TestBoundAndTable:
         ("# comment\nn,k,new_bound,old_bound,best_known,maximal\n2,3,x,3,3,1\n",
          "line 3: column 'new_bound' is not an integer: 'x'"),
         ("a,b\n", "line 1: no column 'n'"),
-    ], ids=["missing-column", "non-integer", "header-only"])
+        ("n,k,new_bound,old_bound,best_known,maximal\n5,3,999,999,,\n5,3,105,106,,\n",
+         "line 3: n=5, k=3 repeats line 2"),
+    ], ids=["missing-column", "non-integer", "header-only", "repeated-cell"])
     def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
                                                     text, message):
         path = tmp_path / "reference.csv"
@@ -534,6 +548,21 @@ class TestBoundAndTable:
         assert result.exit_code == 2
         assert message in result.output
         assert "Traceback" not in result.output
+
+    def test_reference_csv_with_byte_order_mark(self, runner, tmp_path):
+        """A spreadsheet's UTF-8 byte-order mark does not hide column 'n'."""
+        from importlib import resources
+
+        text = (resources.files("negaseq") / "data"
+                / "reference_bounds.csv").read_text()
+        path = tmp_path / "reference.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        result = runner.invoke(main, ["table", "--n", "2..9", "--k", "3..9",
+                                      "--check-reference", "--reference-csv",
+                                      str(path)])
+        assert result.exit_code == 0, result.output
+        assert "!" not in result.output
 
     def test_missing_packaged_csv_is_named(self, runner, tmp_path, monkeypatch):
         from types import SimpleNamespace
@@ -804,6 +833,27 @@ class TestSearch:
             assert record["flow_bound"] == flow
         result = runner.invoke(main, ["search", "--n", "3", "--k", "3"])
         assert result.stdout.splitlines()[0] == "period 10 (optimal), bound 11"
+
+    def test_output_and_certificate_same_file_is_usage_error(self, runner, tmp_path):
+        """One file for both would keep only the certificate: refused before
+        the search runs, also when the two paths are spelt differently."""
+        path = tmp_path / "both.txt"
+        for other in (path, tmp_path / "." / "both.txt"):
+            result = runner.invoke(main, ["search", "--n", "2", "--k", "3",
+                                          "--output", str(path),
+                                          "--certificate", str(other)])
+            assert result.exit_code == 2
+            assert result.stderr.endswith(
+                "Error: --output and --certificate name the same file\n")
+            assert "expansions" not in result.stderr
+
+    def test_output_and_certificate_both_stdout(self, runner):
+        result = runner.invoke(main, ["search", "--n", "2", "--k", "3",
+                                      "--output", "-", "--certificate", "-"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("period 3 (optimal), bound 3\n"
+                                        "sequence 0,1,1\n"
+                                        "negative-orientable-sequence search certificate\n")
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "result.json"
