@@ -109,8 +109,8 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
         raise ValueError(
             f"vertex label must have length {g.n - 1} over Z_{g.k}, got {v}")
     code, k = v.code(), g.k
-    in_degree = k - (not g.has_edge_code(-v[-1] % k * g.num_vertices + code))
-    out_degree = k - (not g.has_edge_code(code * k + -v[0] % k))
+    in_degree = k - (not g.has_edge_code(-v.symbols[-1] % k * g.num_vertices + code))
+    out_degree = k - (not g.has_edge_code(code * k + -v.symbols[0] % k))
     return VertexProfile(label=v, in_degree=in_degree, out_degree=out_degree,
                          flags=structural_flags(v))
 
@@ -136,13 +136,6 @@ class SequenceSubgraph(NamedTuple):
         num_vertices = self.k ** (self.n - 1)
         heads = Counter([c % num_vertices for c in self.edge_origin])
         return heads == Counter([c // self.k for c in self.edge_origin])
-
-    def has_negasymmetric_edge(self) -> bool:
-        return any(nega_reverse_code(c, self.n, self.k) == c for c in self.edge_origin)
-
-    def closed_under_nega_reverse(self) -> bool:
-        return all(nega_reverse_code(c, self.n, self.k) in self.edge_origin
-                   for c in self.edge_origin)
 
 
 def sequence_subgraph(seq: PeriodicSequence, n: int) -> SequenceSubgraph:

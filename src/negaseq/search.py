@@ -69,7 +69,6 @@ from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
 MAX_CODES = 2**24
-FLOW_BOUND_AFTER = 1  # expansions per edge code before the flow bound is computed
 
 
 class SearchConfig(namedtuple("SearchConfig", "n k node_budget time_budget")):
@@ -155,7 +154,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     aborted = False
     node_budget = cfg.node_budget
     deadline = None if cfg.time_budget is None else started + cfg.time_budget
-    target, flow, flow_at = bound, None, FLOW_BOUND_AFTER * num_codes
+    target, flow = bound, None
 
     def check(seq: PeriodicSequence, m: int) -> None:
         verdict = is_nos(seq, n)
@@ -211,7 +210,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
             e = used.find(0, lo if lo > e0 else e0 + 1, hi)
             if e >= 0:
                 expansions += 1
-                if expansions == flow_at:
+                if expansions == num_codes:
                     from .flow import flow_bound
 
                     F = flow_bound(n, k, None if deadline is None

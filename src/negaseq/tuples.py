@@ -77,20 +77,8 @@ class Word(Symbols):
     __slots__ = ()
     _noun, _k_note = "word", " (negating a symbol is the identity for k=2)"
 
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-    def reverse(self) -> "Word":
-        return Word(self.symbols[::-1], self.k)
-
-    def negate(self) -> "Word":
-        return Word(tuple((-s) % self.k for s in self.symbols), self.k)
-
     def nega_reverse(self) -> "Word":
-        """negate(reverse(self)); an involution."""
+        """-w^R, the reverse with each symbol negated; an involution."""
         return Word(nega_reverse_symbols(self.symbols, self.k), self.k)
 
     # -- structural predicates -------------------------------------------

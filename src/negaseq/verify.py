@@ -185,13 +185,13 @@ def is_os(seq: PeriodicSequence, n: int) -> Verdict:
 
 # -- sequence text format -------------------------------------------------
 #
-# One sequence per line, decimal symbols separated by commas.  Blank lines
-# and lines starting with '#' are ignored.
+# One sequence per line, decimal symbols separated by commas.  Blank lines,
+# lines starting with '#' and a byte-order mark opening line 1 are ignored.
 
 def read_sequences(lines: Iterable[str], k: int) -> Iterator[PeriodicSequence]:
     """Parse sequence lines; a bad line raises ValueError naming its number."""
     for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.removeprefix("\ufeff" * (number == 1)).strip()
         if not line or line.startswith("#"):
             continue
         try:

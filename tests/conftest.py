@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from negaseq import search as search_mod
+from negaseq import flow as flow_mod
 
 # Seconds each phase of a test (setup, call, teardown) may run.  The slowest
 # test takes about 6 s; a search whose cut stops firing never finishes, and
@@ -52,5 +52,7 @@ def pytest_runtest_teardown(item):
 @pytest.fixture
 def dfs_only(monkeypatch):
     """The search without its stop at the flow bound: the DFS traversal that
-    the search pins in test_search.py were recorded from."""
-    monkeypatch.setattr(search_mod, "FLOW_BOUND_AFTER", 10**12)
+    the search pins in test_search.py were recorded from.  The flow bound
+    gives up (returns None), as it does past its deadline, so the target
+    stays `nos_bound`."""
+    monkeypatch.setattr(flow_mod, "flow_bound", lambda n, k, deadline: None)

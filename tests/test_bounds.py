@@ -97,8 +97,10 @@ class TestTableRendering:
         assert all(c.matches_reference for c in cells)
 
     def test_bound_table_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            bound_table(range(1, 3), range(3, 5))
+        for n_range, k_range in [(range(1, 3), range(3, 5)), (range(1, 3), range(3, 4)),
+                                 (range(2, 4), range(0, 1))]:
+            with pytest.raises(ValueError, match="ranges must satisfy n >= 2 and k >= 3"):
+                bound_table(n_range, k_range)
 
     def test_format_table(self):
         cells = bound_table(range(2, 4), range(3, 5))

@@ -576,6 +576,16 @@ class TestBoundAndTable:
         assert result.output.endswith(
             "Error: packaged reference_bounds.csv: No such file or directory\n")
 
+    @pytest.mark.parametrize("n_text, k_text", [
+        ("1..3", "3..4"), ("2..3", "0..0"), ("2..3", "-5..-3")])
+    def test_range_below_the_domain_is_usage_error(self, runner, n_text, k_text):
+        """Checked before any bound is computed: k = 0 would otherwise reach
+        math.log10 and fail with a math domain error."""
+        result = runner.invoke(main, ["table", "--n", n_text, "--k", k_text])
+        assert result.exit_code == 2
+        assert "ranges must satisfy n >= 2 and k >= 3" in result.output
+        assert "Traceback" not in result.output
+
     def test_table_single_value_range(self, runner):
         result = runner.invoke(main, ["table", "--n", "2", "--k", "3"])
         assert result.exit_code == 0
@@ -668,21 +678,43 @@ class TestVerify:
         assert payloads[0]["valid"] is True
         assert payloads[1]["valid"] is False
 
+    @staticmethod
+    def run_on_bytes(tmp_path, source, data):
+        """`verify --n 2 --k 3` on data, from --seed-file or from stdin,
+        under a strict stdin encoding."""
+        path = tmp_path / "seqs.txt"
+        path.write_bytes(data)
+        args = ["--seed-file", str(path)] if source == "seed-file" else []
+        with open(path, "rb") as stdin:
+            return subprocess.run(
+                [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3",
+                 *args], stdin=stdin, capture_output=True, text=True,
+                env=dict(_src_env(), PYTHONIOENCODING="utf-8:strict"))
+
     @pytest.mark.parametrize("source", ["seed-file", "stdin"])
     def test_undecodable_byte_names_its_line(self, tmp_path, source):
         """A file and stdin are read alike, even under a strict stdin
         encoding: a byte that is not UTF-8 is a malformed symbol."""
-        path = tmp_path / "seqs.txt"
-        path.write_bytes(b"0,1\n0,1,\xff\n")
-        args = ["--seed-file", str(path)] if source == "seed-file" else []
-        with open(path, "rb") as stdin:
-            proc = subprocess.run(
-                [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3",
-                 *args], stdin=stdin, capture_output=True, text=True,
-                env=dict(_src_env(), PYTHONIOENCODING="utf-8:strict"))
+        proc = self.run_on_bytes(tmp_path, source, b"0,1\n0,1,\xff\n")
         assert proc.returncode == 2
         assert proc.stderr.endswith(
             "Error: line 2: symbol '\\udcff' is not a decimal number\n")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("source", ["seed-file", "stdin"])
+    def test_byte_order_mark_opening_the_input_is_skipped(self, tmp_path, source):
+        """A UTF-8 byte-order mark at the start is skipped, as
+        --reference-csv skips it."""
+        proc = self.run_on_bytes(tmp_path, source, b"\xef\xbb\xbf0,1,1\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "valid NOS, period 3\n", "")
+
+    @pytest.mark.parametrize("source", ["seed-file", "stdin"])
+    def test_byte_order_mark_on_a_later_line_is_malformed(self, tmp_path, source):
+        proc = self.run_on_bytes(tmp_path, source, b"0,1,1\n\xef\xbb\xbf0,1,1\n")
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(
+            "Error: line 2: symbol '\\ufeff0' is not a decimal number\n")
         assert "Traceback" not in proc.stderr
 
     def test_closed_stdin_reads_as_empty(self):

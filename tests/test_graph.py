@@ -15,7 +15,7 @@ from negaseq.graph import (
     sequence_subgraph,
     vertex_profile,
 )
-from negaseq.tuples import Word, decode, encode, window_codes
+from negaseq.tuples import Word, decode, encode, nega_reverse_code, window_codes
 from negaseq.verify import PeriodicSequence
 
 SMALL = [(n, k) for n in (2, 3, 4, 5) for k in (3, 4, 5, 6)]
@@ -135,8 +135,9 @@ class TestSequenceSubgraph:
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 2)
         assert sub.edge_count() == 6  # 2m distinct edges
         assert sub.is_balanced()
-        assert not sub.has_negasymmetric_edge()
-        assert sub.closed_under_nega_reverse()
+        codes = sub.edge_origin
+        assert all(nega_reverse_code(c, 2, 3) != c for c in codes)  # none negasymmetric
+        assert all(nega_reverse_code(c, 2, 3) in codes for c in codes)  # closed under -e^R
 
     @pytest.mark.parametrize("codes, balanced", [
         ({1, 2}, False),  # 0->1 and 0->2: vertex 0 only sends

@@ -28,16 +28,6 @@ def w(symbols, k):
 
 
 class TestSymmetryMaps:
-    def test_reverse(self):
-        assert w([0, 1, 2], 3).reverse().symbols == (2, 1, 0)
-        assert w([5, 5, 5], 7).reverse().symbols == (5, 5, 5)
-        assert w([1, 0, 2, 2], 3).reverse().symbols == (2, 2, 0, 1)
-
-    def test_negate(self):
-        assert w([0, 1, 2], 3).negate().symbols == (0, 2, 1)
-        assert w([0, 0, 0], 5).negate().symbols == (0, 0, 0)
-        assert w([2, 2], 4).negate().symbols == (2, 2)
-
     def test_nega_reverse(self):
         assert w([0, 1], 3).nega_reverse().symbols == (2, 0)
         assert w([1, 0, 2], 3).nega_reverse().symbols == (1, 0, 2)
@@ -52,23 +42,11 @@ words = st.integers(min_value=3, max_value=9).flatmap(
 
 class TestInvolutions:
     @given(words)
-    def test_reverse_involution(self, wk):
-        symbols, k = wk
-        t = w(symbols, k)
-        assert t.reverse().reverse() == t
-
-    @given(words)
-    def test_negate_involution(self, wk):
-        symbols, k = wk
-        t = w(symbols, k)
-        assert t.negate().negate() == t
-
-    @given(words)
     def test_nega_reverse_involution(self, wk):
         symbols, k = wk
         t = w(symbols, k)
         assert t.nega_reverse().nega_reverse() == t
-        assert t.nega_reverse() == t.reverse().negate()
+        assert t.nega_reverse().symbols == tuple(-s % k for s in reversed(symbols))
 
     @given(words)
     def test_negasymmetric_iff_nega_reverse_fixed_point(self, wk):
@@ -169,7 +147,7 @@ class TestCounts:
                     assert count_class(left, n, k) == count_class(right, n, k)
                     lefts = list(enumerate_class(left, n, k))
                     rights = {t.symbols for t in enumerate_class(right, n, k)}
-                    assert {t.reverse().symbols for t in lefts} == rights
+                    assert {t.symbols[::-1] for t in lefts} == rights
 
     # The smallest n of each class, recorded with the messages from the
     # per-class minimum table that preceded the class table.
