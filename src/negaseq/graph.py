@@ -3,8 +3,8 @@
 Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
 drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
-`ReducedGraph.has_edge_code` applies that rule to one code.  The other
-route, every code that `negasymmetric_codes` does not list, is behind
+`vertex_profile` applies that rule to a word (`Word.is_negasymmetric`).  The
+other route, every code that `negasymmetric_codes` does not list, is behind
 `ReducedGraph.edge_bitmap` (the edge count and the search's graph hash),
 `ReducedGraph.edges` and the DOT export.
 """
@@ -22,7 +22,6 @@ from .tuples import (
     check_graph_params,
     count_class,
     decode,
-    nega_reverse_code,
     nega_reverse_symbols,
     negasymmetric_codes,
     partner_halves,
@@ -70,9 +69,6 @@ class ReducedGraph:
             bits[e >> 3] ^= 0x80 >> (e & 7)
         return bytes(bits)
 
-    def has_edge_code(self, code: int) -> bool:
-        return nega_reverse_code(code, self.n, self.k) != code
-
     def edge_count(self) -> int:
         """Count edges from the bitmap (independent of the formula)."""
         return int.from_bytes(self.edge_bitmap(), "big").bit_count()
@@ -97,8 +93,8 @@ class VertexProfile(NamedTuple):
 
 
 def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
-    """Degrees by probing the one candidate non-edge in each direction,
-    plus the classification flags.
+    """Degrees by testing the one candidate non-edge in each direction as a
+    word, in time linear in n, plus the classification flags.
 
     An n-tuple is negasymmetric only if its first symbol is minus its last,
     so y.v is the only in-edge of v that can be missing (y = -v[-1]), and
@@ -108,9 +104,9 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
     if len(v) != g.n - 1 or v.k != g.k:
         raise ValueError(
             f"vertex label must have length {g.n - 1} over Z_{g.k}, got {v}")
-    code, k = v.code(), g.k
-    in_degree = k - (not g.has_edge_code(-v.symbols[-1] % k * g.num_vertices + code))
-    out_degree = k - (not g.has_edge_code(code * k + -v.symbols[0] % k))
+    s, k = v.symbols, g.k
+    in_degree = k - Word((-s[-1] % k,) + s, k).is_negasymmetric()
+    out_degree = k - Word(s + (-s[0] % k,), k).is_negasymmetric()
     return VertexProfile(label=v, in_degree=in_degree, out_degree=out_degree,
                          flags=structural_flags(v))
 

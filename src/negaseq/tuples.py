@@ -72,14 +72,10 @@ class Symbols:
 
 
 class Word(Symbols):
-    """An n-tuple over Z_k.  Immutable; all operations return new words."""
+    """An n-tuple over Z_k.  Immutable; its methods are structural predicates."""
 
     __slots__ = ()
     _noun, _k_note = "word", " (negating a symbol is the identity for k=2)"
-
-    def nega_reverse(self) -> "Word":
-        """-w^R, the reverse with each symbol negated; an involution."""
-        return Word(nega_reverse_symbols(self.symbols, self.k), self.k)
 
     # -- structural predicates -------------------------------------------
 
@@ -114,10 +110,6 @@ class Word(Symbols):
         """Suffix of length n-1 is negasymmetric."""
         suffix = self.symbols[1:]
         return suffix == nega_reverse_symbols(suffix, self.k)
-
-    def code(self) -> int:
-        """Base-k integer code, leftmost symbol most significant."""
-        return encode(self.symbols, self.k)
 
 
 def check_graph_params(n: int, k: int) -> None:

@@ -167,7 +167,7 @@ def is_nos_naive(seq: PeriodicSequence, n: int) -> Verdict:
                                order_exceeds_period=n > m)
     for i in range(m):
         for j in range(m):
-            if windows[i].symbols == windows[j].nega_reverse().symbols:
+            if windows[i].symbols == nega_reverse_symbols(windows[j].symbols, norm.k):
                 kind = NEGASYMMETRIC_WINDOW if i == j else NEGA_REVERSE_COLLISION
                 return Verdict(False, "nos", m, Witness(i, j, kind),
                                order_exceeds_period=n > m)

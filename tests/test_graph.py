@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -36,7 +37,7 @@ class TestEdgeCounts:
             assert g.edge_count() == edge_count_formula(n, k), (n, k)
 
     def test_implicit_and_explicit_agree(self):
-        # has_edge_code (scalar rule) against edge_bitmap and edges()
+        # the per-code rule e != -e^R against edge_bitmap and edges()
         # (negasymmetric codes)
         for n, k in [(2, 3), (3, 4), (4, 3)]:
             g = ReducedGraph(n, k)
@@ -44,9 +45,10 @@ class TestEdgeCounts:
             assert len(bitmap) == -(-k**n // 8)
             for code in range(k**n):
                 bit = bitmap[code >> 3] >> (7 - code % 8) & 1
-                assert g.has_edge_code(code) == bool(bit)
+                assert (nega_reverse_code(code, n, k) != code) == bool(bit)
             assert bitmap[-1] % (1 << -k**n % 8) == 0  # zero padding
-            assert list(g.edges()) == [c for c in range(k**n) if g.has_edge_code(c)]
+            assert list(g.edges()) == [c for c in range(k**n)
+                                       if nega_reverse_code(c, n, k) != c]
 
 
 class TestDegrees:
@@ -77,6 +79,21 @@ class TestDegrees:
         with pytest.raises(ValueError, match="^vertex label must have length "
                            "99999999 over Z_9, got 0$"):
             vertex_profile(ReducedGraph(10**8, 9), Word((0,), 9))
+
+    @pytest.mark.parametrize("n,symbols,degrees", [
+        (100_001, (1,) * 100_000, (9, 9)),
+        # left-sns, so the in-probe y.v is the negasymmetric non-edge
+        (100_000, (1, 8) * 49_999 + (3,), (8, 9)),
+    ], ids=["ones", "left_sns"])
+    def test_profile_is_linear_in_n(self, n, symbols, degrees):
+        # Non-zero symbols: arithmetic on the vertex's code, a number of
+        # about n digits, would make each probe quadratic in n.
+        start = time.process_time()
+        p = vertex_profile(ReducedGraph(n, 9), Word(symbols, 9))
+        elapsed = time.process_time() - start
+        assert (p.in_degree, p.out_degree) == degrees
+        assert degrees == (9 - p.flags["left_sns"], 9 - p.flags["right_sns"])
+        assert elapsed < 1.0, elapsed
 
 
 class TestStructure:
@@ -125,7 +142,7 @@ class TestStructure:
         # an edge runs from its code // k (the prefix) to its code mod
         # k^(n-1) (the suffix), as the subgraph degrees and the DOT export read it
         g = ReducedGraph(3, 3)
-        e = Word((0, 1, 2), 3).code()
+        e = encode((0, 1, 2), 3)
         assert g.vertex_word(e // g.k).symbols == (0, 1)
         assert g.vertex_word(e % g.num_vertices).symbols == (1, 2)
 
@@ -224,11 +241,12 @@ class TestSequenceSubgraph:
                               ((0, 1, 1) * 2, 3, 2)]:
             sub = sequence_subgraph(PeriodicSequence(symbols, k), n)
             s = PeriodicSequence(symbols, k).normalized()
-            expected = {stream.window(i, n).code()
+            expected = {encode(stream.window(i, n).symbols, k)
                         for stream in (s, s.nega_reverse()) for i in range(len(s))}
             assert sub.edge_origin.keys() == expected
-            assert sub.edge_origin[s.window(1, n).code()] == ("S", 1)
-            assert sub.edge_origin[s.nega_reverse().window(2, n).code()] == ("-S^R", 2)
+            assert sub.edge_origin[encode(s.window(1, n).symbols, k)] == ("S", 1)
+            assert sub.edge_origin[encode(s.nega_reverse().window(2, n).symbols, k)] \
+                == ("-S^R", 2)
             assert sub.is_balanced()
 
 
@@ -253,7 +271,7 @@ class TestDotExport:
         g = ReducedGraph(n, k)
         labels = re.findall(r'\[label="(\d+)"\]', export_dot(g))
         assert [encode(tuple(map(int, label)), k) for label in labels] == \
-            [c for c in range(k**n) if g.has_edge_code(c)]
+            [c for c in range(k**n) if nega_reverse_code(c, n, k) != c]
 
     def test_subgraph_export(self):
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 2)

@@ -61,7 +61,7 @@ def subgraph_oracle(s, n):
     origin = {}
     for name, stream in (("S", norm), ("-S^R", norm.nega_reverse())):
         for i in range(len(norm)):
-            code = stream.window(i, n).code()
+            code = encode(stream.window(i, n).symbols, s.k)
             if code in origin:
                 first = origin[code]
                 return first, (name, i), (f"window {name}[{i}] duplicates "
@@ -185,9 +185,11 @@ class TestWindowSequence:
         assert v.order_exceeds_period
         assert not is_window_sequence(seq([0, 1, 1], 3), 3).order_exceeds_period
 
-    def test_rejects_order_below_two(self):
-        with pytest.raises(ValueError):
-            is_window_sequence(seq([0, 1], 3), 1)
+    @pytest.mark.parametrize("check", [is_window_sequence, is_nos, is_os, is_nos_naive],
+                             ids=lambda check: check.__name__)
+    def test_rejects_order_below_two(self, check):
+        with pytest.raises(ValueError, match="^window order must be at least 2, got n=1$"):
+            check(seq([0, 1], 3), 1)
 
 
 class TestNos:
