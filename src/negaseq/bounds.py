@@ -29,8 +29,6 @@ def _regime(n: int, k: int) -> str:
 
 
 class BoundValue(NamedTuple):
-    n: int
-    k: int
     value: int
     regime: str
     breakdown: BoundBreakdown
@@ -66,8 +64,7 @@ def nos_bound(n: int, k: int) -> BoundValue:
         raise InternalConsistencyError(
             f"case formula gives {numerator // 2} but the excluded-edge budget "
             f"gives {breakdown.resulting_period_bound} at n={n}, k={k}")
-    return BoundValue(n=n, k=k, value=numerator // 2, regime=_regime(n, k),
-                      breakdown=breakdown)
+    return BoundValue(numerator // 2, _regime(n, k), breakdown)
 
 
 # -- reference tables -----------------------------------------------------
@@ -97,9 +94,9 @@ def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Opti
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
     """Parse the reference CSV (the packaged one unless a path is given).
 
-    A file that cannot be read or decoded, a missing column, a non-integer
-    field or a repeated (n, k) cell raises ValueError that starts with the
-    path and names the file line.  A leading byte-order mark is skipped.
+    An unreadable or undecodable file, a missing column, an extra field, a
+    non-integer field, a `maximal` not 0 or 1 or a repeated (n, k) cell
+    raises ValueError naming the path and the line; a leading BOM is skipped.
     """
     try:
         source = (resources.files("negaseq") / "data" / "reference_bounds.csv"
@@ -112,16 +109,20 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
         first_line: dict[tuple[int, int], int] = {}
         for row in reader:
             line = numbered[reader.line_num - 1][0]
+            if None in row:  # DictReader files the fields past the header under None
+                raise ValueError(f"line {line}: more fields than the header's "
+                                 f"{len(reader.fieldnames)} columns")
             n, k, new, old = (_int_cell(row, column, line)
                               for column in ("n", "k", "new_bound", "old_bound"))
             best, maximal = (_int_cell(row, column, line, optional=True)
                              for column in ("best_known", "maximal"))
+            if maximal not in (None, 0, 1):
+                raise ValueError(f"line {line}: column 'maximal' is not 0 or 1: {maximal}")
             if first_line.setdefault((n, k), line) != line:
                 raise ValueError(f"line {line}: n={n}, k={k} repeats line "
                                  f"{first_line[n, k]}")
-            entries[(n, k)] = ReferenceEntry(
-                n=n, k=k, new_bound=new, old_bound=old, best_known=best,
-                maximal=None if maximal is None else bool(maximal))
+            entries[n, k] = ReferenceEntry(n, k, new, old, best,
+                                           None if maximal is None else bool(maximal))
         for column in ReferenceEntry._fields:  # also a header with no row under it
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"line {numbered[0][0] if numbered else 1}: "

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import click
 
 from . import tuples as tuples_mod
-from .errors import EnumerationBudgetError, GraphSizeError, NotAnNosError
+from .errors import BudgetError, NotAnNosError
 
 EXIT_INVALID = 1
 EXIT_BUDGET = 3
@@ -134,7 +134,7 @@ class Command(click.Command):
             return super().invoke(ctx)
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from None
-        except (GraphSizeError, EnumerationBudgetError) as exc:
+        except BudgetError as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_BUDGET)
         except NotAnNosError as exc:
@@ -224,12 +224,9 @@ def profile(n, k, vertex, fmt):
     p = graph_mod.vertex_profile(g, w)
     in_parity, out_parity = ("odd" if d % 2 else "even"
                              for d in (p.in_degree, p.out_degree))
-    payload = {
-        "label": str(p.label), "n": n, "k": k,
-        "in_degree": p.in_degree, "out_degree": p.out_degree,
-        "in_parity": in_parity, "out_parity": out_parity, "flags": p.flags,
-    }
-    text = (f"vertex {p.label}: in={p.in_degree} ({in_parity}), "
+    payload = {**p._asdict(), "label": str(w), "n": n, "k": k,
+               "in_parity": in_parity, "out_parity": out_parity}
+    text = (f"vertex {w}: in={p.in_degree} ({in_parity}), "
             f"out={p.out_degree} ({out_parity})\n  " + " ".join(
                 f"{name}={value}" for name, value in p.flags.items()) + "\n")
     _emit(payload, fmt, text)
@@ -303,12 +300,8 @@ def verify(n, k, seed_file, prop, fmt):
     any_invalid = False
     for seq in sequences:
         verdict = check(seq, n)
-        payload = {
-            "sequence": str(seq), "n": n, "k": k, "property": prop,
-            "valid": verdict.valid, "period": verdict.period,
-            "witness": None if verdict.witness is None else verdict.witness._asdict(),
-            "order_exceeds_period": verdict.order_exceeds_period,
-        }
+        payload = {"sequence": str(seq), "n": n, "k": k, **verdict._asdict(),
+                   "witness": verdict.witness and verdict.witness._asdict()}
         if verdict.valid:
             text = f"valid {prop.upper() if prop != 'window' else 'window sequence'}, period {verdict.period}\n"
         else:

@@ -1,16 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types.  The CLI exits 3 on every `BudgetError` and 1 on
+`NotAnNosError`; an `InternalConsistencyError` reports a bug."""
 
 
 class NegaseqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EnumerationBudgetError(NegaseqError):
-    """k^n exceeds the configured enumeration budget."""
-
-
-class GraphSizeError(NegaseqError):
-    """A DOT export or a search exceeds its size budget."""
+class BudgetError(NegaseqError):
+    """An enumeration, a search or a DOT export exceeds its size budget."""
 
 
 class NotAnNosError(NegaseqError):

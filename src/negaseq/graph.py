@@ -15,7 +15,7 @@ from collections import Counter
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Union
 
-from .errors import GraphSizeError, NotAnNosError
+from .errors import BudgetError, NotAnNosError
 from .tuples import (
     TupleClass,
     Word,
@@ -86,10 +86,9 @@ class ReducedGraph:
 
 
 class VertexProfile(NamedTuple):
-    label: Word
     in_degree: int
     out_degree: int
-    flags: dict[str, bool]  # structural_flags(label)
+    flags: dict[str, bool]  # structural_flags of the vertex's word
 
 
 def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
@@ -107,8 +106,7 @@ def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
     s, k = v.symbols, g.k
     in_degree = k - Word((-s[-1] % k,) + s, k).is_negasymmetric()
     out_degree = k - Word(s + (-s[0] % k,), k).is_negasymmetric()
-    return VertexProfile(label=v, in_degree=in_degree, out_degree=out_degree,
-                         flags=structural_flags(v))
+    return VertexProfile(in_degree, out_degree, structural_flags(v))
 
 
 class SequenceSubgraph(NamedTuple):
@@ -184,8 +182,8 @@ def check_dot_budget(n: int, k: int, edges: Optional[int] = 0) -> None:
     for count, what, huge in ((edges, "edges", f"about {k}^{n}"),
                               (printable_power(k, n - 1), "vertices", f"{k}^{n - 1}")):
         if count is None or count > DOT_BUDGET:
-            raise GraphSizeError(f"{huge if count is None else count} {what} "
-                                 f"exceed the DOT export budget of {DOT_BUDGET}")
+            raise BudgetError(f"{huge if count is None else count} {what} "
+                              f"exceed the DOT export budget of {DOT_BUDGET}")
 
 
 def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:

@@ -60,11 +60,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import GraphSizeError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import (check_graph_params, negasymmetric_codes, partner_halves,
-                     printable_power)
+from .tuples import check_graph_params, codes_within, negasymmetric_codes, partner_halves
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -133,10 +132,7 @@ def _walk_to_sequence(walk: list[int], n: int, k: int) -> PeriodicSequence:
 def max_nos_search(cfg: SearchConfig) -> SearchResult:
     """Depth-first search over pair-disjoint closed walks in B_k^-(n-1)."""
     n, k = cfg.n, cfg.k
-    num_codes = printable_power(k, n)
-    if num_codes is None or num_codes > MAX_CODES:
-        raise GraphSizeError(f"k^n = {num_codes or f'{k}^{n}'} exceeds the "
-                             f"search bitmap budget of {MAX_CODES}")
+    num_codes = codes_within(n, k, MAX_CODES, "search bitmap")
 
     started = time.monotonic()
     bound = nos_bound(n, k).value

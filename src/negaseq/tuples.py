@@ -20,7 +20,7 @@ import sys
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import EnumerationBudgetError
+from .errors import BudgetError
 
 ENUMERATION_BUDGET = 10**7
 
@@ -323,14 +323,20 @@ def printable_power(k: int, n: int) -> Optional[int]:
     return k**n if n * math.log10(k) < limit else None
 
 
+def codes_within(n: int, k: int, budget: int, what: str) -> int:
+    """k^n, or BudgetError naming it (by its power when too long to print)
+    when it exceeds the budget."""
+    size = printable_power(k, n)
+    if size is None or size > budget:
+        raise BudgetError(f"k^n = {size or f'{k}^{n}'} exceeds the {what} budget of {budget}")
+    return size
+
+
 def enumerate_class(cls: TupleClass, n: int, k: int) -> Iterator[Word]:
     """Brute-force oracle: yield, in lexicographic order, the n-tuples in cls.
     Refuses k^n above `ENUMERATION_BUDGET` before it yields a word."""
     _check_count_args(cls, n, k)
-    size = printable_power(k, n)
-    if size is None or size > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"k^n = {size or f'{k}^{n}'} exceeds the "
-                                     f"enumeration budget of {ENUMERATION_BUDGET}")
+    codes_within(n, k, ENUMERATION_BUDGET, "enumeration")
     for symbols in itertools.product(range(k), repeat=n):
         w = Word(symbols, k)
         if class_predicate(cls, w):

@@ -1,5 +1,7 @@
 import contextlib
+import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,13 @@ def pytest_runtest_call(item):
 def pytest_runtest_teardown(item):
     with _time_limit():
         return (yield)
+
+
+def src_env():
+    """Environment for a child interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

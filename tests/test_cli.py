@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from conftest import src_env
 from negaseq.cli import main
 from negaseq.tuples import TupleClass
 
@@ -27,13 +29,6 @@ def runner():
 
 def validate(payload):
     jsonschema.validate(payload, SCHEMA)
-
-
-def _src_env():
-    """Environment for a child interpreter that imports this checkout's src/."""
-    src = str(ROOT / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestUsageErrors:
@@ -262,7 +257,7 @@ class TestExitContract:
 
 
 def test_cli_import_loads_no_numpy():
-    env = _src_env()
+    env = src_env()
     code = "import sys, negaseq.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -302,7 +297,7 @@ COLD_COMMANDS = {
 @pytest.mark.parametrize("args, modules", COLD_COMMANDS.values(),
                          ids=list(COLD_COMMANDS))
 def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
-    env = _src_env()
+    env = src_env()
     code = ("import sys\nfrom negaseq.cli import main\n"
             "try:\n    main(sys.argv[1:], standalone_mode=False)\n"
             "finally:\n    print(*sorted(sys.modules), file=sys.stderr)\n")
@@ -537,7 +532,12 @@ class TestBoundAndTable:
         ("a,b\n", "line 1: no column 'n'"),
         ("n,k,new_bound,old_bound,best_known,maximal\n5,3,999,999,,\n5,3,105,106,,\n",
          "line 3: n=5, k=3 repeats line 2"),
-    ], ids=["missing-column", "non-integer", "header-only", "repeated-cell"])
+        ("n,k,new_bound,old_bound,best_known,maximal\n5,3,105,106,,,999\n",
+         "line 2: more fields than the header's 6 columns"),
+        ("n,k,new_bound,old_bound,best_known,maximal\n5,3,105,106,,7\n",
+         "line 2: column 'maximal' is not 0 or 1: 7"),
+    ], ids=["missing-column", "non-integer", "header-only", "repeated-cell",
+            "field-past-header", "maximal-not-0-or-1"])
     def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
                                                     text, message):
         path = tmp_path / "reference.csv"
@@ -636,6 +636,21 @@ class TestEdgesAndProfile:
         assert payload["flags"]["right_sns"] is True
         assert payload["flags"]["alternating"] is False
 
+    def test_profile_json_pinned(self, runner):
+        """SHA-256 of the concatenated JSON output over every vertex of
+        (2,3), (3,3), (3,4) and (4,3), recorded when `profile` listed each
+        field by hand."""
+        sha = hashlib.sha256()
+        for n, k in [(2, 3), (3, 3), (3, 4), (4, 3)]:
+            for vertex in itertools.product(range(k), repeat=n - 1):
+                result = runner.invoke(main, [
+                    "profile", "--n", str(n), "--k", str(k),
+                    "--vertex", ",".join(map(str, vertex)), "--format", "json"])
+                assert result.exit_code == 0, result.output
+                sha.update(result.output.encode())
+        assert sha.hexdigest() == (
+            "f915ae7bb96794fe5bb8086fc61f34f0ccd2ffc4e978f83bb375cae3cc2f1458")
+
     def test_profile_wrong_length(self, runner):
         result = runner.invoke(
             main, ["profile", "--n", "3", "--k", "3", "--vertex", "0,0,0"])
@@ -689,7 +704,7 @@ class TestVerify:
             return subprocess.run(
                 [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3",
                  *args], stdin=stdin, capture_output=True, text=True,
-                env=dict(_src_env(), PYTHONIOENCODING="utf-8:strict"))
+                env=dict(src_env(), PYTHONIOENCODING="utf-8:strict"))
 
     @pytest.mark.parametrize("source", ["seed-file", "stdin"])
     def test_undecodable_byte_names_its_line(self, tmp_path, source):
@@ -722,8 +737,30 @@ class TestVerify:
         proc = subprocess.run(
             [sys.executable, "-m", "negaseq.cli", "verify", "--n", "2", "--k", "3"],
             capture_output=True, text=True, preexec_fn=lambda: os.close(0),
-            env=_src_env())
+            env=src_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+    def test_json_pinned(self, runner):
+        """SHA-256 of the JSON stdout for 200 seeded words (valid and not)
+        under each property, n = 2..4 and k = 3..5, recorded when `verify`
+        listed each field by hand."""
+        rng = random.Random(2026)
+        words = []
+        for _ in range(200):
+            k = rng.randint(3, 5)
+            words.append((k, [rng.randrange(k) for _ in range(rng.randint(1, 12))]))
+        sha = hashlib.sha256()
+        for prop in ("window", "nos", "os"):
+            for n in (2, 3, 4):
+                for k in (3, 4, 5):
+                    text = "".join(",".join(map(str, w)) + "\n"
+                                   for wk, w in words if wk == k)
+                    result = runner.invoke(main, [
+                        "verify", "--n", str(n), "--k", str(k), "--property", prop,
+                        "--format", "json"], input=text)
+                    sha.update(result.stdout.encode())
+        assert sha.hexdigest() == (
+            "aee46227321ece1f80b7ea4356e5f6ff1d764bf40f4a666648b4630dbf246199")
 
     def test_window_property(self, runner):
         result = runner.invoke(
@@ -827,7 +864,7 @@ class TestSearch:
             proc = subprocess.run(
                 [sys.executable, "-m", "negaseq.cli", "bound", "--n", "2", "--k", "3"],
                 stdout=fd, stderr=subprocess.PIPE, text=True,
-                env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered))
+                env=dict(src_env(), PYTHONUNBUFFERED=unbuffered))
             os.close(fd)
             assert (proc.returncode, proc.stderr) == (code, stderr)
 
@@ -838,7 +875,7 @@ class TestSearch:
         proc = subprocess.run(
             [sys.executable, "-m", "negaseq.cli", "bound", "--n", "2", "--k", "3"],
             stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
-            env=dict(_src_env(), PYTHONUNBUFFERED=unbuffered))
+            env=dict(src_env(), PYTHONUNBUFFERED=unbuffered))
         assert (proc.returncode, proc.stderr) == (
             2, "Error: cannot write stdout: Bad file descriptor\n")
 
@@ -847,7 +884,7 @@ class TestSearch:
         buffer, so the write meets the closed pipe whenever the reader quits."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "negaseq.cli", "export-dot", "--n", "6", "--k", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env())
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env())
         proc.stdout.close()
         assert (proc.wait(), proc.stderr.read()) == (
             2, "Error: cannot write stdout: Broken pipe\n")
@@ -927,7 +964,7 @@ class TestExportDot:
         assert result.output.count("->") == 6
 
     def test_full_graph_loads_no_numpy(self, tmp_path):
-        env = _src_env()
+        env = src_env()
         out = tmp_path / "graph.dot"
         code = ("import sys\nfrom negaseq.cli import main\n"
                 f"main(['export-dot', '--n', '3', '--k', '3', '--output', {str(out)!r}],"

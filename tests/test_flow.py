@@ -115,6 +115,20 @@ def test_pinned(n, k, half):
     assert flow_bound(n, k) == 2 * half
 
 
+@pytest.mark.parametrize("n,k", [(3, k) for k in range(3, 21)]
+                         + [(4, k) for k in range(3, 14, 2)])
+def test_closed_form_where_the_gap_is_known(n, k):
+    """F in closed form at n = 3 and at n = 4 with odd k, and its gain over
+    `nos_bound`: (k-1)/2 when k is odd, k-3 at n = 3 with k even."""
+    if k % 2:
+        F = k**3 - 3 * k + 2 if n == 3 else k**4 - 2 * k**2 - k + 2
+        gain = (k - 1) // 2
+    else:
+        F, gain = k**3 - 4 * k, k - 3
+    assert flow_bound(n, k) == F
+    assert nos_bound(n, k).value - F // 2 == gain
+
+
 def test_split_arc_raise_at_8_4():
     """(8, 4) is the one cell with k^n <= 120000 whose augmenting paths
     raise a split arc (twice); F lies between twice the longest known NOS

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from negaseq import graph as graph_mod
-from negaseq.errors import GraphSizeError, NotAnNosError
+from negaseq.errors import BudgetError, NotAnNosError
 from negaseq.graph import (
     ReducedGraph,
     SequenceSubgraph,
@@ -281,7 +281,7 @@ class TestDotExport:
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(graph_mod, "DOT_BUDGET", 5)
-        with pytest.raises(GraphSizeError, match="24 edges exceed the DOT export budget of 5"):
+        with pytest.raises(BudgetError, match="24 edges exceed the DOT export budget of 5"):
             export_dot(ReducedGraph(3, 3))
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
@@ -289,7 +289,7 @@ class TestDotExport:
             raise AssertionError("vertices enumerated before the budget check")
 
         monkeypatch.setattr(graph_mod, "structural_flags", no_flags)
-        with pytest.raises(GraphSizeError, match="exceed the DOT export budget"):
+        with pytest.raises(BudgetError, match="exceed the DOT export budget"):
             export_dot(ReducedGraph(12, 4))
 
 
@@ -301,7 +301,7 @@ class TestDotExport:
     ], ids=["graph-5000", "graph-1e8", "subgraph-5000"])
     def test_budget_names_a_huge_count_by_its_power(self, make, count):
         # Past the interpreter's digit limit the counts are not worked out.
-        with pytest.raises(GraphSizeError) as err:
+        with pytest.raises(BudgetError) as err:
             export_dot(make())
         assert str(err.value) == f"{count} exceed the DOT export budget of 100000"
 
@@ -309,7 +309,7 @@ class TestDotExport:
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 3)
         assert sub.edge_count() == 6
         monkeypatch.setattr(graph_mod, "DOT_BUDGET", 8)
-        with pytest.raises(GraphSizeError, match="9 vertices exceed"):
+        with pytest.raises(BudgetError, match="9 vertices exceed"):
             export_dot(sub)
         monkeypatch.setattr(graph_mod, "DOT_BUDGET", 9)
         assert export_dot(sub).count("->") == 6
@@ -321,7 +321,7 @@ class TestDotExport:
         monkeypatch.setattr(graph_mod, "vertex_profile", no_profiles)
         monkeypatch.setattr(graph_mod, "structural_flags", no_profiles)
         sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 12)
-        with pytest.raises(GraphSizeError, match="177147 vertices exceed"):
+        with pytest.raises(BudgetError, match="177147 vertices exceed"):
             export_dot(sub)
 
     # SHA-256 of the DOT text, recorded from the export that decoded both

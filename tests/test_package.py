@@ -1,14 +1,13 @@
 import copy
 import importlib
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import negaseq
+from conftest import src_env
 from negaseq.bounds import (BoundValue, ReferenceEntry, TableCell, bound_table,
                             nos_bound)
 from negaseq.graph import (BoundBreakdown, ReducedGraph, SequenceSubgraph,
@@ -55,22 +54,16 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_package_import_loads_no_submodule():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, negaseq; print(*sorted(m for m in sys.modules if 'negaseq' in m))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["negaseq"]
 
 
 def test_library_import_loads_no_dataclasses():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, negaseq.graph, negaseq.bounds, negaseq.verify, negaseq.search; "
             "print('dataclasses' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negaseq import flow as flow_mod, search as search_mod, tuples as tuples_mod
-from negaseq.errors import GraphSizeError, InternalConsistencyError
+from negaseq.errors import BudgetError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
     canonicalize,
@@ -39,13 +39,13 @@ class TestConfig:
             SearchConfig(n=2, k=3, time_budget=float("nan"))
 
     def test_graph_size_refusal(self):
-        with pytest.raises(GraphSizeError):
+        with pytest.raises(BudgetError):
             max_nos_search(SearchConfig(n=10, k=9))
 
     @pytest.mark.parametrize("n", [5000, 10**8])
     def test_graph_size_refusal_names_a_huge_power(self, n):
         # k^n past the interpreter's digit limit is not worked out.
-        with pytest.raises(GraphSizeError) as err:
+        with pytest.raises(BudgetError) as err:
             max_nos_search(SearchConfig(n=n, k=9))
         assert str(err.value) == (f"k^n = 9^{n} exceeds the search bitmap "
                                   "budget of 16777216")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from negaseq import tuples as tuples_mod
-from negaseq.errors import EnumerationBudgetError
+from negaseq.errors import BudgetError
 from negaseq.tuples import (
     TupleClass,
     Word,
@@ -173,7 +173,7 @@ class TestCounts:
     def test_enumeration_budget_names_a_huge_power(self):
         # k^n is tested without being worked out: n = 10^8 is refused at once.
         for n, shown in ((5000, "9^5000"), (10**8, "9^100000000")):
-            with pytest.raises(EnumerationBudgetError) as err:
+            with pytest.raises(BudgetError) as err:
                 next(enumerate_class(TupleClass.LEFT_SNS, n, 9))
             assert str(err.value) == (f"k^n = {shown} exceeds the enumeration "
                                       "budget of 10000000")
@@ -182,10 +182,10 @@ class TestCounts:
         got = [t.symbols for t in enumerate_class(TupleClass.NEGASYMMETRIC, 2, 3)]
         assert got == [(0, 0), (1, 2), (2, 1)]
         assert got == sorted(got)
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetError):
             list(enumerate_class(TupleClass.UNIFORM, 30, 9))
         monkeypatch.setattr(tuples_mod, "ENUMERATION_BUDGET", 26)
-        with pytest.raises(EnumerationBudgetError, match="^k\\^n = 27 exceeds "
+        with pytest.raises(BudgetError, match="^k\\^n = 27 exceeds "
                            "the enumeration budget of 26$"):
             list(enumerate_class(TupleClass.UNIFORM, 3, 3))
         monkeypatch.setattr(tuples_mod, "ENUMERATION_BUDGET", 27)
