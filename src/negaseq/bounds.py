@@ -94,9 +94,9 @@ def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Opti
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
     """Parse the reference CSV (the packaged one unless a path is given).
 
-    An unreadable or undecodable file, a missing column, an extra field, a
-    non-integer field, a `maximal` not 0 or 1 or a repeated (n, k) cell
-    raises ValueError naming the path and the line; a leading BOM is skipped.
+    An unreadable or undecodable file, a missing or repeated column, an extra
+    field, a non-integer field, a `maximal` not 0 or 1 or a repeated (n, k)
+    cell raises ValueError naming the path and line; a leading BOM is skipped.
     """
     try:
         source = (resources.files("negaseq") / "data" / "reference_bounds.csv"
@@ -105,6 +105,11 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
         numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1)
                     if ln and not ln.startswith("#")]
         reader = csv.DictReader(ln for _, ln in numbered)
+        header = reader.fieldnames or []
+        for column in header:  # DictReader would keep a repeated column's last value
+            if header.count(column) > 1:
+                raise ValueError(f"line {numbered[0][0]}: column {column!r} "
+                                 f"repeats in the header")
         entries: dict[tuple[int, int], ReferenceEntry] = {}
         first_line: dict[tuple[int, int], int] = {}
         for row in reader:
@@ -124,7 +129,7 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
             entries[n, k] = ReferenceEntry(n, k, new, old, best,
                                            None if maximal is None else bool(maximal))
         for column in ReferenceEntry._fields:  # also a header with no row under it
-            if column not in (reader.fieldnames or ()):
+            if column not in header:
                 raise ValueError(f"line {numbered[0][0] if numbered else 1}: "
                                  f"no column {column!r}")
         return entries
@@ -139,7 +144,18 @@ class TableCell(NamedTuple):
     bound: int
     regime: str
     reference: Optional[int]  # reference new_bound if recorded
-    matches_reference: Optional[bool]
+    matches_reference: Optional[bool]  # `reference_mismatches` found none, if recorded
+
+
+def reference_mismatches(bound: int, entry: ReferenceEntry) -> list[str]:
+    """How a reference row disagrees with the computed bound: another
+    new_bound, or a best_known period above it."""
+    found = []
+    if entry.new_bound != bound:
+        found.append(f"computed {bound}, reference {entry.new_bound}")
+    if entry.best_known is not None and entry.best_known > bound:
+        found.append(f"best_known {entry.best_known} exceeds the computed bound {bound}")
+    return found
 
 
 def bound_table(n_range: range, k_range: range,
@@ -158,7 +174,7 @@ def bound_table(n_range: range, k_range: range,
             cells.append(TableCell(
                 n=n, k=k, bound=b.value, regime=b.regime,
                 reference=entry.new_bound if entry else None,
-                matches_reference=(entry.new_bound == b.value) if entry else None))
+                matches_reference=not reference_mismatches(b.value, entry) if entry else None))
     return cells
 
 

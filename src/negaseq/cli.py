@@ -276,8 +276,8 @@ def table(n_text, k_text, check_reference, reference_csv, fmt):
         mismatched = [c for c in cells if c.matches_reference is False]
         if mismatched:
             for c in mismatched:
-                click.echo(f"mismatch at n={c.n}, k={c.k}: computed {c.bound}, "
-                           f"reference {c.reference}", err=True)
+                for found in bounds_mod.reference_mismatches(c.bound, reference[c.n, c.k]):
+                    click.echo(f"mismatch at n={c.n}, k={c.k}: {found}", err=True)
             sys.exit(EXIT_INVALID)
 
 

@@ -178,15 +178,6 @@ def nega_reverse_symbols(symbols: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple([-s % k for s in symbols[::-1]])
 
 
-def nega_reverse_code(code: int, n: int, k: int) -> int:
-    """Code of -u^R given the code of u."""
-    out = 0
-    for _ in range(n):
-        code, r = divmod(code, k)
-        out = out * k + ((-r) % k)
-    return out
-
-
 def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
     """(K, low, high) with K = k^(n//2) and -e^R == low[e % K] + high[e // K]
     for every code e of length n.
@@ -194,12 +185,18 @@ def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
     The partner map e -> -e^R of all k^n codes in two tables of k^(n//2)
     and k^ceil(n/2) entries: -(hi*K + lo)^R = (-lo^R)*k^ceil(n/2) + -hi^R.
     e is an edge of the reduced graph iff its partner differs from it.
+    Each table of -w^R over the words w of one length grows from the last by
+    -(w.s)^R = (-s).(-w^R), from [0] for the empty word; `high` is the table
+    at length ceil(n/2), `low` the one at n//2 on the way there, scaled.  That
+    is O(k^ceil(n/2)) list work and no per-code arithmetic.
     """
     half = n // 2
     shift = k ** (n - half)
-    low = [nega_reverse_code(lo, half, k) * shift for lo in range(k**half)]
-    high = [nega_reverse_code(hi, n - half, k) for hi in range(shift)]
-    return k**half, low, high
+    tables = [[0]]
+    for length in range(n - half):
+        step = [-s % k * k**length for s in range(k)]
+        tables.append([x + y for x in tables[-1] for y in step])
+    return k**half, [p * shift for p in tables[half]], tables[-1]
 
 
 def negasymmetric_codes(K: int, low: list[int], high: list[int]) -> list[int]:

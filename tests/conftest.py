@@ -51,6 +51,16 @@ def pytest_runtest_teardown(item):
         return (yield)
 
 
+def nega_reverse_code(code: int, n: int, k: int) -> int:
+    """Code of -u^R given the code of u, one symbol at a time: the per-code
+    oracle for `tuples.partner_halves` and the graphs built from it."""
+    out = 0
+    for _ in range(n):
+        code, r = divmod(code, k)
+        out = out * k + ((-r) % k)
+    return out
+
+
 def src_env():
     """Environment for a child interpreter that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import nega_reverse_code
 from negaseq.bounds import load_reference_table, nos_bound
 from negaseq.graph import (
     ReducedGraph,
@@ -19,8 +20,7 @@ from negaseq.graph import (
     vertex_profile,
 )
 from negaseq.search import SearchConfig, max_nos_search
-from negaseq.tuples import (TupleClass, Word, class_predicate, count_class,
-                             nega_reverse_code)
+from negaseq.tuples import TupleClass, Word, class_predicate, count_class
 from negaseq.verify import PeriodicSequence, is_nos, is_nos_naive
 
 

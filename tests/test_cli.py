@@ -518,6 +518,17 @@ class TestBoundAndTable:
         assert result.stdout.count("!") == 1
         assert "  10!" in result.stdout
 
+    def test_best_known_above_the_bound_is_a_mismatch(self, runner, tmp_path):
+        path = tmp_path / "reference.csv"
+        path.write_text("n,k,new_bound,old_bound,best_known,maximal\n5,3,105,106,200,1\n")
+        result = runner.invoke(main, ["table", "--n", "5", "--k", "3",
+                                      "--check-reference", "--reference-csv",
+                                      str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == ("mismatch at n=5, k=3: best_known 200 exceeds "
+                                 "the computed bound 105\n")
+        assert result.stdout == "n   k=3\n5  105!\n"
+
     def test_table_json(self, runner):
         result = runner.invoke(
             main, ["table", "--n", "2..3", "--k", "3..4", "--format", "json"])
@@ -536,8 +547,10 @@ class TestBoundAndTable:
          "line 2: more fields than the header's 6 columns"),
         ("n,k,new_bound,old_bound,best_known,maximal\n5,3,105,106,,7\n",
          "line 2: column 'maximal' is not 0 or 1: 7"),
+        ("# comment\nn,k,new_bound,old_bound,best_known,maximal,n\n5,3,105,106,,,7\n",
+         "line 2: column 'n' repeats in the header"),
     ], ids=["missing-column", "non-integer", "header-only", "repeated-cell",
-            "field-past-header", "maximal-not-0-or-1"])
+            "field-past-header", "maximal-not-0-or-1", "repeated-column"])
     def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
                                                     text, message):
         path = tmp_path / "reference.csv"

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import nega_reverse_code
 from negaseq import graph as graph_mod
 from negaseq.errors import BudgetError, NotAnNosError
 from negaseq.graph import (
@@ -16,7 +17,7 @@ from negaseq.graph import (
     sequence_subgraph,
     vertex_profile,
 )
-from negaseq.tuples import Word, decode, encode, nega_reverse_code, window_codes
+from negaseq.tuples import Word, decode, encode, window_codes
 from negaseq.verify import PeriodicSequence
 
 SMALL = [(n, k) for n in (2, 3, 4, 5) for k in (3, 4, 5, 6)]

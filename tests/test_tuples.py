@@ -1,9 +1,11 @@
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import nega_reverse_code
 from negaseq import tuples as tuples_mod
 from negaseq.errors import BudgetError
 from negaseq.tuples import (
@@ -14,7 +16,6 @@ from negaseq.tuples import (
     decode,
     encode,
     enumerate_class,
-    nega_reverse_code,
     nega_reverse_symbols,
     negasymmetric_codes,
     count_grows,
@@ -63,7 +64,8 @@ class TestInvolutions:
         assert nega_reverse_code(code, len(symbols), k) == \
             encode(nega_reverse_symbols(tuple(symbols), k), k)
 
-    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (4, 5), (3, 10), (2, 12)])
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 9) for k in range(3, 8)
+                                     if k**n <= 10**5] + [(3, 10), (2, 12)])
     def test_partner_codes_match_scalar_map(self, n, k):
         K, low, high = partner_halves(n, k)
         assert (len(low), len(high)) == (k ** (n // 2), k ** (n - n // 2))
@@ -76,6 +78,15 @@ class TestInvolutions:
         codes = negasymmetric_codes(*partner_halves(n, k))
         assert codes == [e for e in range(k**n) if nega_reverse_code(e, n, k) == e]
         assert len(codes) == count_class(TupleClass.NEGASYMMETRIC, n, k)
+
+    def test_partner_halves_is_linear_in_its_tables(self):
+        # 2 * 5^8 entries: about 0.07 s by the recurrence, 1.0-1.4 s by a
+        # divmod loop per code (Python 3.11, 2 vCPUs).
+        start = time.process_time()
+        K, low, high = partner_halves(16, 5)
+        elapsed = time.process_time() - start
+        assert (K, len(low), len(high)) == (5**8, 5**8, 5**8)
+        assert elapsed < 0.5, elapsed
 
 
 class TestPredicates:
