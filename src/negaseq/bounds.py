@@ -15,9 +15,11 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import InternalConsistencyError
+from .errors import BudgetError, InternalConsistencyError
 from .graph import BoundBreakdown, excluded_edge_budget
 from .tuples import check_graph_params
+
+TABLE_BUDGET = 10**5
 
 
 def _regime(n: int, k: int) -> str:
@@ -161,9 +163,14 @@ def reference_mismatches(bound: int, entry: ReferenceEntry) -> list[str]:
 def bound_table(n_range: range, k_range: range,
                 reference: Optional[dict[tuple[int, int], ReferenceEntry]] = None
                 ) -> list[TableCell]:
-    """Compute nos_bound on a grid, attaching reference values where known."""
+    """Compute nos_bound on a grid of step-1 ranges, attaching reference
+    values where known.  Refuses more than `TABLE_BUDGET` cells, counted from
+    the ranges' ends (len() overflows), before it computes one."""
     if n_range.start < 2 or k_range.start < 3:
         raise ValueError("ranges must satisfy n >= 2 and k >= 3")
+    size = max(0, n_range.stop - n_range.start) * max(0, k_range.stop - k_range.start)
+    if size > TABLE_BUDGET:
+        raise BudgetError(f"{size} cells exceed the table budget of {TABLE_BUDGET}")
     if reference is None:
         reference = load_reference_table()
     cells = []

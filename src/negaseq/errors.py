@@ -7,7 +7,8 @@ class NegaseqError(Exception):
 
 
 class BudgetError(NegaseqError):
-    """An enumeration, a search or a DOT export exceeds its size budget."""
+    """An enumeration, a search, a DOT export or a bound table exceeds its
+    size budget."""
 
 
 class NotAnNosError(NegaseqError):

@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import InternalConsistencyError
-from .tuples import check_graph_params, negasymmetric_codes, partner_halves
+from .tuples import check_graph_params, negasymmetric_codes
 
 
 def flow_bound(n: int, k: int, deadline: Optional[float] = None) -> Optional[int]:
@@ -36,11 +36,11 @@ def flow_bound(n: int, k: int, deadline: Optional[float] = None) -> Optional[int
     num_codes = V * k
     state = bytearray(b"\x01") * num_codes  # 1 kept edge, 0 deleted, 2 non-edge
     excess = array("l", [0]) * V  # in-degree minus out-degree
-    for e in negasymmetric_codes(*partner_halves(n, k)):
+    for e in negasymmetric_codes(n, k):
         state[e] = 2
         excess[e % V] -= 1
         excess[e // k] += 1
-    fixed = array("l", negasymmetric_codes(*partner_halves(n - 1, k)))
+    fixed = array("l", negasymmetric_codes(n - 1, k))
     out_node = array("l", range(V))  # the node that sends v's out-edges
     cap = array("l")
     for i, v in enumerate(fixed):

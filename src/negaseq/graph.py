@@ -4,9 +4,10 @@ Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
 drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
 `vertex_profile` applies that rule to a word (`Word.is_negasymmetric`).  The
-other route, every code that `negasymmetric_codes` does not list, is behind
-`ReducedGraph.edge_bitmap` (the edge count and the search's graph hash),
-`ReducedGraph.edges` and the DOT export.
+other route builds the non-edges from their definition, as s.w.(-s) around
+a shorter negasymmetric w (`negasymmetric_codes`); every code it does not
+list is an edge.  It is behind `ReducedGraph.edge_bitmap` (the edge count
+and the search's graph hash), `ReducedGraph.edges` and the DOT export.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .tuples import (
     decode,
     nega_reverse_symbols,
     negasymmetric_codes,
-    partner_halves,
     printable_power,
     structural_flags,
     window_codes,
@@ -65,7 +65,7 @@ class ReducedGraph:
         pad = -num_codes % 8
         bits = bytearray(b"\xff" * ((num_codes + pad) // 8))
         bits[-1] = 0xFF << pad & 0xFF
-        for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
+        for e in negasymmetric_codes(self.n, self.k):
             bits[e >> 3] ^= 0x80 >> (e & 7)
         return bytes(bits)
 
@@ -76,7 +76,7 @@ class ReducedGraph:
     def edges(self) -> Iterator[int]:
         """Edge codes in increasing order: those `negasymmetric_codes` skips."""
         start = 0
-        for e in negasymmetric_codes(*partner_halves(self.n, self.k)):
+        for e in negasymmetric_codes(self.n, self.k):
             yield from range(start, e)
             start = e + 1
         yield from range(start, self.k**self.n)

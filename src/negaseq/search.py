@@ -9,12 +9,12 @@ Every closed walk is generated only from the rotation that starts at its
 smallest edge code: each unused code in turn is a first edge, and later
 edges must exceed it.  The only per-code table is the used-edge bitmap,
 one byte per code; it starts with the negasymmetric codes (the
-non-edges) set, and they stay set.  The walk is the only stack.  The
-partner -e^R of an edge is read from the two half tables of
-`partner_halves` (built once; their fixed points are the non-edges)
-when the edge is taken and again when it is released;
-after a release the scan goes on from the next code in the block of k
-out-edges of the edge's tail vertex.
+non-edges, built from their definition by `negasymmetric_codes`) set,
+and they stay set.  The walk is the only stack.  The partner -e^R of an
+edge is read from the two half tables of `partner_halves` (built once)
+when the edge is taken and again when it is released; after a release
+the scan goes on from the next code in the block of k out-edges of the
+edge's tail vertex.
 
 A branch is cut when the walk can never close: it has left its start
 vertex and every in-edge of that vertex is used or blocked by a used
@@ -140,7 +140,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     K, low, high = partner_halves(n, k)
     # Negasymmetric codes are no edges: they start used and stay used.
     used = bytearray(num_codes)
-    for e in negasymmetric_codes(K, low, high):
+    for e in negasymmetric_codes(n, k):
         used[e] = 1
     num_vertices = k ** (n - 1)
 

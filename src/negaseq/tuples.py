@@ -199,15 +199,15 @@ def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
     return k**half, [p * shift for p in tables[half]], tables[-1]
 
 
-def negasymmetric_codes(K: int, low: list[int], high: list[int]) -> list[int]:
-    """The codes e == -e^R (the non-edges of the reduced graph), ascending,
-    from the tables (K, low, high) of `partner_halves`.
-
-    The low half of a fixed point is the low half of its partner, so each
-    high half hi has one candidate, lo = high[hi] % K.
-    """
-    return [e for hi, p in enumerate(high)
-            if low[p % K] + p == (e := hi * K + p % K)]
+def negasymmetric_codes(n: int, k: int) -> list[int]:
+    """The codes e == -e^R of length n (the reduced graph's non-edges): those
+    of length L + 2 are s.w.(-s), code s*k^(L+1) + w*k + (-s mod k), for each
+    symbol s (it leads, so they ascend) and each one w of length L, from the
+    empty word at even n and the e(k) self-negating symbols at odd n."""
+    codes = [0, k // 2][:_self_negating(k)] if n % 2 else [0]
+    for lead in [k**length for length in range(n % 2 + 1, n, 2)]:
+        codes = [b + w * k for b in [s * lead + -s % k for s in range(k)] for w in codes]
+    return codes
 
 
 # -- tuple classes and counting ------------------------------------------

@@ -36,10 +36,6 @@ class PeriodicSequence(Symbols):
         m = len(self.symbols)
         return Word(tuple(self.symbols[(i + j) % m] for j in range(n)), self.k)
 
-    def nega_reverse(self) -> "PeriodicSequence":
-        """-S^R: reverse the period and negate every symbol."""
-        return PeriodicSequence(nega_reverse_symbols(self.symbols, self.k), self.k)
-
     def normalized(self) -> "PeriodicSequence":
         """The same cyclic sequence stored at its minimal period."""
         p = minimal_period(self)

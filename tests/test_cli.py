@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -603,6 +604,30 @@ class TestBoundAndTable:
         result = runner.invoke(main, ["table", "--n", "2", "--k", "3"])
         assert result.exit_code == 0
         assert "3" in result.output
+
+    def test_table_over_budget_exits_three(self, runner, monkeypatch):
+        """Refused before any cell is computed, naming the count and the budget."""
+        from negaseq import bounds
+
+        def no_bound(n, k):
+            raise AssertionError("a cell computed before the table budget check")
+
+        monkeypatch.setattr(bounds, "TABLE_BUDGET", 11)
+        monkeypatch.setattr(bounds, "nos_bound", no_bound)
+        result = runner.invoke(main, ["table", "--n", "2..5", "--k", "3..5"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "12 cells exceed the table budget of 11\n"
+
+    def test_huge_table_exits_three_at_once(self, runner):
+        """10^30 columns: counted from the range ends, as len() cannot."""
+        start = time.process_time()
+        result = runner.invoke(main, ["table", "--n", "2..3", "--k", f"3..{10**30}"])
+        assert time.process_time() - start < 1
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == \
+            f"{2 * (10**30 - 2)} cells exceed the table budget of 100000\n"
 
 
 class TestEdgesAndProfile:

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from negaseq import flow as flow_mod, search as search_mod, tuples as tuples_mod
+from negaseq import search as search_mod, tuples as tuples_mod
 from negaseq.errors import BudgetError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
@@ -14,6 +14,7 @@ from negaseq.search import (
     max_nos_search,
     units,
 )
+from negaseq.tuples import nega_reverse_symbols
 from negaseq.verify import PeriodicSequence, is_nos
 
 
@@ -97,7 +98,7 @@ class TestCanonicalize:
         # the same representative
         variants = [
             PeriodicSequence((1, 1, 0), 3),
-            s.nega_reverse(),
+            PeriodicSequence(nega_reverse_symbols(s.symbols, 3), 3),
             PeriodicSequence(tuple((2 * x) % 3 for x in s.symbols), 3),
         ]
         rep = canonicalize(s)
@@ -117,7 +118,7 @@ class TestCanonicalize:
         # Every rotation of every unit image of S and -S^R, 2*|U|*m words.
         k = seq.k
         best = None
-        for variant in (seq.symbols, seq.nega_reverse().symbols):
+        for variant in (seq.symbols, nega_reverse_symbols(seq.symbols, k)):
             for u in units(k):
                 mapped = tuple((u * s) % k for s in variant)
                 m = len(mapped)
@@ -151,10 +152,9 @@ class TestExhaustiveSearch:
         canonical form: the symmetry that lets one search path stand for
         the whole orbit, as the deleted first-edge restriction assumed."""
         rep = canonicalize(seq)
-        for variant in (seq, seq.nega_reverse()):
+        for variant in (seq.symbols, nega_reverse_symbols(seq.symbols, k)):
             for u in units(k):
-                image = PeriodicSequence(
-                    tuple(u * s % k for s in variant.symbols), k)
+                image = PeriodicSequence(tuple(u * s % k for s in variant), k)
                 v = is_nos(image, n)
                 assert v.valid and v.period == len(seq), (u, image)
                 assert canonicalize(image) == rep, (u, image)
@@ -382,21 +382,21 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (5, 4)])
     def test_partner_halves_built_once_per_search(self, monkeypatch, n, k):
-        """The search's partner tables also give its non-edges.  The flow
-        bound, computed once at the k^n-th expansion (only (3, 3) reaches
-        it within the budget of 100), builds its own at n and at n - 1."""
+        """Only the search reads the partner tables, and builds them once.
+        The non-edges, of the search and of the flow bound (computed once at
+        the k^n-th expansion; only (3, 3) reaches it within the budget of
+        100), are built from their definition, without tables."""
         calls = []
 
         def counted(*args, _inner=tuples_mod.partner_halves):
             calls.append(args)
             return _inner(*args)
 
-        for module in (tuples_mod, search_mod, flow_mod):
+        for module in (tuples_mod, search_mod):
             monkeypatch.setattr(module, "partner_halves", counted)
         result = max_nos_search(SearchConfig(n=n, k=k, node_budget=100))
-        flow = (n, k) == (3, 3)
-        assert (result.flow_bound is not None) == flow
-        assert calls == [(n, k)] + [(n, k), (n - 1, k)] * flow
+        assert (result.flow_bound is not None) == ((n, k) == (3, 3))
+        assert calls == [(n, k)]
 
     @pytest.mark.parametrize("n,k,budget,seconds,exit_path", [
         (3, 3, 10**9, None, "exhaustive"),
