@@ -373,16 +373,12 @@ def export_dot(n, k, sequence_text, output):
     """DOT export of the reduced graph or one sequence subgraph."""
     from . import graph as graph_mod
 
-    if sequence_text is None:
-        text = graph_mod.export_dot(graph_mod.ReducedGraph(n, k))
-    else:
+    seq = None
+    if sequence_text is not None:
         from . import verify as verify_mod
 
         seq = verify_mod.PeriodicSequence(tuples_mod.parse_symbols(sequence_text), k)
-        graph_mod.check_dot_budget(n, k)  # before any window of order n is coded
-        sub = graph_mod.sequence_subgraph(seq, n)
-        text = graph_mod.export_dot(sub)
-    _emit(None, "text", text, output)
+    _emit(None, "text", graph_mod.export_dot(graph_mod.ReducedGraph(n, k), seq), output)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,14 @@ drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
 `vertex_profile` applies that rule to a word (`Word.is_negasymmetric`).  The
 other route builds the non-edges from their definition, as s.w.(-s) around
 a shorter negasymmetric w (`negasymmetric_codes`); every code it does not
-list is an edge.  It is behind `ReducedGraph.edge_bitmap` (the edge count
-and the search's graph hash), `ReducedGraph.edges` and the DOT export.
+list is an edge.  It is behind `ReducedGraph.edge_bitmap` (the search's
+graph hash), `ReducedGraph.edges` and the DOT export.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import BudgetError, NotAnNosError
 from .tuples import (
@@ -45,18 +44,14 @@ def edge_count_formula(n: int, k: int) -> int:
 class ReducedGraph:
     """B_k^-(n-1): the de Bruijn graph minus negasymmetric edges.
 
-    Stores only (n, k); edges are tested, and k^(n-1) vertices counted, on
-    demand.  Immutable after construction; safe to share between readers.
+    Stores only (n, k); edges are listed on demand.  Immutable after
+    construction; safe to share between readers.
     """
 
     def __init__(self, n: int, k: int):
         check_graph_params(n, k)
         self.n = n
         self.k = k
-
-    @cached_property
-    def num_vertices(self) -> int:
-        return self.k ** (self.n - 1)
 
     def edge_bitmap(self) -> bytes:
         """One bit per code, MSB first, set iff the code is an edge; the last
@@ -69,10 +64,6 @@ class ReducedGraph:
             bits[e >> 3] ^= 0x80 >> (e & 7)
         return bytes(bits)
 
-    def edge_count(self) -> int:
-        """Count edges from the bitmap (independent of the formula)."""
-        return int.from_bytes(self.edge_bitmap(), "big").bit_count()
-
     def edges(self) -> Iterator[int]:
         """Edge codes in increasing order: those `negasymmetric_codes` skips."""
         start = 0
@@ -80,9 +71,6 @@ class ReducedGraph:
             yield from range(start, e)
             start = e + 1
         yield from range(start, self.k**self.n)
-
-    def vertex_word(self, vertex_code: int) -> Word:
-        return Word(decode(vertex_code, self.n - 1, self.k), self.k)
 
 
 class VertexProfile(NamedTuple):
@@ -186,31 +174,35 @@ def check_dot_budget(n: int, k: int, edges: Optional[int] = 0) -> None:
                               f"exceed the DOT export budget of {DOT_BUDGET}")
 
 
-def export_dot(graph: Union[ReducedGraph, SequenceSubgraph]) -> str:
-    """DOT text of the graph: digraph `reduced_debruijn` for the full graph,
-    `nega_sequence_subgraph` for B^-(S, n).  `check_dot_budget` runs on the
-    edge count (closed form for the full graph) before any code is
-    enumerated: a subgraph's few edges still come with a statement for
-    every one of the k^(n-1) vertices."""
-    if isinstance(graph, ReducedGraph):
-        g, name = graph, "reduced_debruijn"
-        size = printable_power(g.k, g.n) and edge_count_formula(g.n, g.k)
+def export_dot(g: ReducedGraph, seq: Optional[PeriodicSequence] = None) -> str:
+    """DOT text of the reduced graph (digraph `reduced_debruijn`) or, given a
+    sequence S over its alphabet, of B^-(S, n) (`nega_sequence_subgraph`).
+    `check_dot_budget` runs before any code is enumerated: on the closed-form
+    edge count for the full graph; for S, on the k^(n-1) vertices before S
+    is scanned, then on the subgraph's edges, since its few edges still come
+    with a statement for every vertex."""
+    n, k = g.n, g.k
+    if seq is None:
+        check_dot_budget(n, k, printable_power(k, n) and edge_count_formula(n, k))
+        name, edge_codes = "reduced_debruijn", g.edges()
+    elif seq.k != k:
+        raise ValueError(f"sequence must be over Z_{k}, got one over Z_{seq.k}")
     else:
-        g, size = ReducedGraph(graph.n, graph.k), graph.edge_count()
+        check_dot_budget(n, k)  # before any window of order n is coded
         name = "nega_sequence_subgraph"
-    k, n = g.k, g.n
-    check_dot_budget(n, k, size)
+        edge_codes = sorted(sequence_subgraph(seq, n).edge_origin)
+        check_dot_budget(n, k, len(edge_codes))
+    num_vertices = k ** (n - 1)
     sep = "" if k <= 10 else "_"
     lines = [f"digraph {name} {{"]
     names = []  # each vertex name decoded once; edges index into it
-    for vcode in range(g.num_vertices):
-        word = g.vertex_word(vcode)
+    for vcode in range(num_vertices):
+        word = Word(decode(vcode, n - 1, k), k)
         names.append(sep.join(map(str, word.symbols)))
         lines.append(f'  "{names[-1]}" [{_vertex_attrs(structural_flags(word))}];')
-    edge_codes = g.edges() if graph is g else sorted(graph.edge_origin)
     for ecode in edge_codes:
         tail = names[ecode // k]  # an edge's label is its tail plus one symbol
-        lines.append(f'  "{tail}" -> "{names[ecode % g.num_vertices]}" '
+        lines.append(f'  "{tail}" -> "{names[ecode % num_vertices]}" '
                      f'[label="{tail}{sep}{ecode % k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from negaseq import flow as flow_mod
+from negaseq.tuples import Word, decode
 
 # Seconds each phase of a test (setup, call, teardown) may run.  The slowest
 # test takes about 6 s; a search whose cut stops firing never finishes, and
@@ -59,6 +60,17 @@ def nega_reverse_code(code: int, n: int, k: int) -> int:
         code, r = divmod(code, k)
         out = out * k + ((-r) % k)
     return out
+
+
+def edge_count(g) -> int:
+    """Edges of a `ReducedGraph`, counted from its bitmap: the oracle for
+    the closed form `edge_count_formula`."""
+    return int.from_bytes(g.edge_bitmap(), "big").bit_count()
+
+
+def vertex_words(n: int, k: int) -> list[Word]:
+    """The k^(n-1) vertices of the order-n graph as words, in code order."""
+    return [Word(decode(v, n - 1, k), k) for v in range(k ** (n - 1))]
 
 
 def src_env():

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import nega_reverse_code
+from conftest import edge_count, nega_reverse_code, vertex_words
 from negaseq.bounds import load_reference_table, nos_bound
 from negaseq.graph import (
     ReducedGraph,
@@ -68,9 +68,9 @@ def test_criterion_2_edges_and_degrees():
         for k in (3, 4, 5, 6):
             for n in (2, 3, 4, 5):
                 g = ReducedGraph(n, k)
-                assert g.edge_count() == edge_count_formula(n, k), (n, k)
-                for v in range(g.num_vertices):
-                    p = vertex_profile(g, g.vertex_word(v))
+                assert edge_count(g) == edge_count_formula(n, k), (n, k)
+                for v, word in enumerate(vertex_words(n, k)):
+                    p = vertex_profile(g, word)
                     assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
                     assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
 

@@ -1,4 +1,7 @@
+import itertools
+import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -89,6 +92,57 @@ def _tail(step):
     return arc[0] if sign == 1 else arc[1]
 
 
+def dual_value(n, k, p_in, p_out):
+    """D(p), the weak dual of the flow bound's LP, from the symbols: every
+    potential p gives D(p) >= F.
+
+        D(p) = sum over edges e of max(0, 1 + p(t(e)) - p(h(e)))
+             + sum over fixed v of (indeg(v) & ~1) * max(0, p(v_in) - p(v_out))
+
+    t(e) is the node that sends the out-edges of e's tail (v_out for a fixed
+    tail) and h(e) the node that takes the in-edges of e's head.  p_in maps
+    each vertex word to its potential, v_in's for a fixed vertex; p_out maps
+    each fixed vertex word to v_out's."""
+    words = list(itertools.product(range(k), repeat=n - 1))
+    fixed = {v for v in words if nega_reverse_symbols(v, k) == v}
+    indeg, total = Counter(), 0
+    for u in words:
+        tail = p_out[u] if u in fixed else p_in[u]
+        for x in range(k):
+            w = u + (x,)
+            if nega_reverse_symbols(w, k) != w:
+                indeg[w[1:]] += 1
+                total += max(0, 1 + tail - p_in[w[1:]])
+    return total + sum((indeg[v] & ~1) * max(0, p_in[v] - p_out[v]) for v in fixed)
+
+
+def written_out_potential(v, k):
+    """The potential of vertex v (v_in for a fixed v) that makes D(p) = F at
+    n = 3 for every k and at n = 4 for odd k; every v_out gets 0."""
+    if len(v) == 2:
+        a, b = v
+        if k % 2:
+            return (a != 0) * ((b == 0) + (b == -a % k))
+        half = (0, k // 2)
+        return (b in half) + (a == b in half)
+    a, b, c = v
+    if b == 0:
+        return 2 * (a != 0 and c in (0, -a % k))
+    return int(c in (0, -b % k) and not a == c == -b % k)
+
+
+@pytest.mark.parametrize("n,k", _cells(500))
+def test_dual_of_random_potentials_bounds_the_flow(n, k):
+    """Weak duality: D(p) >= F for potentials drawn at random, v_in and
+    v_out independently."""
+    F, rng = flow_bound(n, k), random.Random(n * 1000 + k)
+    words = list(itertools.product(range(k), repeat=n - 1))
+    for _ in range(50):
+        p_in = {v: rng.randint(-2, 2) for v in words}
+        p_out = {v: rng.randint(-2, 2) for v in words}
+        assert dual_value(n, k, p_in, p_out) >= F
+
+
 @pytest.mark.parametrize("n,k", _cells(500))
 def test_matches_cycle_cancelling_oracle(n, k):
     assert flow_bound(n, k) == oracle_flow(n, k)
@@ -115,11 +169,12 @@ def test_pinned(n, k, half):
     assert flow_bound(n, k) == 2 * half
 
 
-@pytest.mark.parametrize("n,k", [(3, k) for k in range(3, 21)]
+@pytest.mark.parametrize("n,k", [(3, k) for k in range(3, 41)]
                          + [(4, k) for k in range(3, 14, 2)])
 def test_closed_form_where_the_gap_is_known(n, k):
     """F in closed form at n = 3 and at n = 4 with odd k, and its gain over
-    `nos_bound`: (k-1)/2 when k is odd, k-3 at n = 3 with k even."""
+    `nos_bound`: (k-1)/2 when k is odd, k-3 at n = 3 with k even.  D at the
+    written-out potentials meets F, a second route that shows F optimal."""
     if k % 2:
         F = k**3 - 3 * k + 2 if n == 3 else k**4 - 2 * k**2 - k + 2
         gain = (k - 1) // 2
@@ -127,6 +182,9 @@ def test_closed_form_where_the_gap_is_known(n, k):
         F, gain = k**3 - 4 * k, k - 3
     assert flow_bound(n, k) == F
     assert nos_bound(n, k).value - F // 2 == gain
+    words = itertools.product(range(k), repeat=n - 1)
+    p_in = {v: written_out_potential(v, k) for v in words}
+    assert dual_value(n, k, p_in, dict.fromkeys(p_in, 0)) == F
 
 
 def test_split_arc_raise_at_8_4():

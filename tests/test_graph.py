@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import nega_reverse_code
+from conftest import edge_count, nega_reverse_code, vertex_words
 from negaseq import graph as graph_mod
 from negaseq.errors import BudgetError, NotAnNosError
 from negaseq.graph import (
@@ -35,7 +35,7 @@ class TestEdgeCounts:
     def test_formula_matches_bitmap(self):
         for n, k in SMALL:
             g = ReducedGraph(n, k)
-            assert g.edge_count() == edge_count_formula(n, k), (n, k)
+            assert edge_count(g) == edge_count_formula(n, k), (n, k)
 
     def test_implicit_and_explicit_agree(self):
         # the per-code rule e != -e^R against edge_bitmap and edges()
@@ -57,8 +57,8 @@ class TestDegrees:
         # in-degree is k-1 at left-sns vertices and k elsewhere; dually for out.
         for n, k in SMALL:
             g = ReducedGraph(n, k)
-            for v in range(g.num_vertices):
-                p = vertex_profile(g, g.vertex_word(v))
+            for v, word in enumerate(vertex_words(n, k)):
+                p = vertex_profile(g, word)
                 assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
                 assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
 
@@ -66,8 +66,8 @@ class TestDegrees:
         for n, k in SMALL:
             g = ReducedGraph(n, k)
             total_in = total_out = 0
-            for v in range(g.num_vertices):
-                p = vertex_profile(g, g.vertex_word(v))
+            for word in vertex_words(n, k):
+                p = vertex_profile(g, word)
                 total_in += p.in_degree
                 total_out += p.out_degree
             assert total_in == total_out == edge_count_formula(n, k)
@@ -103,10 +103,8 @@ class TestStructure:
         # over {0, k/2}; n-1 even: exactly the k uniform-alternating labels.
         for n in (4, 5, 6):
             for k in (3, 4, 5):
-                g = ReducedGraph(n, k)
-                got = {g.vertex_word(v).symbols for v in range(g.num_vertices)
-                       if g.vertex_word(v).is_left_sns()
-                       and g.vertex_word(v).is_right_sns()}
+                got = {v.symbols for v in vertex_words(n, k)
+                       if v.is_left_sns() and v.is_right_sns()}
                 m = n - 1
                 if m % 2 == 0 and k % 2 == 1:
                     expect = {tuple([0] * m)}
@@ -142,10 +140,9 @@ class TestStructure:
     def test_edge_endpoints(self):
         # an edge runs from its code // k (the prefix) to its code mod
         # k^(n-1) (the suffix), as the subgraph degrees and the DOT export read it
-        g = ReducedGraph(3, 3)
-        e = encode((0, 1, 2), 3)
-        assert g.vertex_word(e // g.k).symbols == (0, 1)
-        assert g.vertex_word(e % g.num_vertices).symbols == (1, 2)
+        e, words = encode((0, 1, 2), 3), vertex_words(3, 3)
+        assert words[e // 3].symbols == (0, 1)
+        assert words[e % len(words)].symbols == (1, 2)
 
 
 class TestSequenceSubgraph:
@@ -275,8 +272,7 @@ class TestDotExport:
             [c for c in range(k**n) if nega_reverse_code(c, n, k) != c]
 
     def test_subgraph_export(self):
-        sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 2)
-        text = export_dot(sub)
+        text = export_dot(ReducedGraph(2, 3), PeriodicSequence((0, 1, 1), 3))
         assert text.count("->") == 6
         assert "digraph nega_sequence_subgraph" in text
 
@@ -295,55 +291,63 @@ class TestDotExport:
 
 
     @pytest.mark.parametrize("make, count", [
-        (lambda: ReducedGraph(5000, 9), "about 9^5000 edges"),
-        (lambda: ReducedGraph(10**8, 9), "about 9^100000000 edges"),
-        (lambda: sequence_subgraph(PeriodicSequence((0, 1, 1), 9), 5000),
+        (lambda: (ReducedGraph(5000, 9),), "about 9^5000 edges"),
+        (lambda: (ReducedGraph(10**8, 9),), "about 9^100000000 edges"),
+        (lambda: (ReducedGraph(5000, 9), PeriodicSequence((0, 1, 1), 9)),
          "9^4999 vertices"),
     ], ids=["graph-5000", "graph-1e8", "subgraph-5000"])
     def test_budget_names_a_huge_count_by_its_power(self, make, count):
         # Past the interpreter's digit limit the counts are not worked out.
         with pytest.raises(BudgetError) as err:
-            export_dot(make())
+            export_dot(*make())
         assert str(err.value) == f"{count} exceed the DOT export budget of 100000"
 
     def test_subgraph_vertex_count_is_budgeted(self, monkeypatch):
-        sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 3)
-        assert sub.edge_count() == 6
+        g, seq = ReducedGraph(3, 3), PeriodicSequence((0, 1, 1), 3)
+        assert sequence_subgraph(seq, 3).edge_count() == 6
         monkeypatch.setattr(graph_mod, "DOT_BUDGET", 8)
         with pytest.raises(BudgetError, match="9 vertices exceed"):
-            export_dot(sub)
+            export_dot(g, seq)
         monkeypatch.setattr(graph_mod, "DOT_BUDGET", 9)
-        assert export_dot(sub).count("->") == 6
+        assert export_dot(g, seq).count("->") == 6
 
     def test_subgraph_vertex_budget_checked_first(self, monkeypatch):
         def no_profiles(*args):
             raise AssertionError("vertices enumerated before the budget check")
 
+        def no_scan(*args):
+            raise AssertionError("sequence scanned before the vertex budget check")
+
         monkeypatch.setattr(graph_mod, "vertex_profile", no_profiles)
         monkeypatch.setattr(graph_mod, "structural_flags", no_profiles)
-        sub = sequence_subgraph(PeriodicSequence((0, 1, 1), 3), 12)
-        with pytest.raises(BudgetError, match="177147 vertices exceed"):
-            export_dot(sub)
+        monkeypatch.setattr(graph_mod, "sequence_subgraph", no_scan)
+        with pytest.raises(BudgetError) as err:
+            export_dot(ReducedGraph(12, 3), PeriodicSequence((0, 1, 1), 3))
+        assert str(err.value) == "177147 vertices exceed the DOT export budget of 100000"
+
+    def test_subgraph_alphabet_must_match(self):
+        with pytest.raises(ValueError, match="^sequence must be over Z_4, got one over Z_3$"):
+            export_dot(ReducedGraph(2, 4), PeriodicSequence((0, 1, 1), 3))
 
     # SHA-256 of the DOT text, recorded from the export that decoded both
     # endpoint names of every edge and built a full vertex profile per vertex.
     @pytest.mark.parametrize("make,name,digest", [
-        (lambda: ReducedGraph(3, 3), "reduced_debruijn",
+        (lambda: (ReducedGraph(3, 3),), "reduced_debruijn",
          "565483b51f5b27dac6a114eb3bc909ba8538864f3243405ce1910a4bece7029d"),
-        (lambda: ReducedGraph(4, 4), "reduced_debruijn",
+        (lambda: (ReducedGraph(4, 4),), "reduced_debruijn",
          "3029324b7897d62fb62dadcc52f53cedfbe857e6d0b24c5cc8f1bfd22871800b"),
-        (lambda: ReducedGraph(2, 11), "reduced_debruijn",
+        (lambda: (ReducedGraph(2, 11),), "reduced_debruijn",
          "a78e2bdd12df75c29fa472aaab0de2fd7092a13abb3f8775e34b5ba510d7fedf"),
-        (lambda: sequence_subgraph(PeriodicSequence(
+        (lambda: (ReducedGraph(3, 4), PeriodicSequence(
             (0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 1, 2, 0, 1, 3, 1, 1, 3, 2, 2, 3, 2, 3, 1),
-            4), 3), "nega_sequence_subgraph",
+            4)), "nega_sequence_subgraph",
          "afa1697886d517ab46a5fc64f18ea970e1a604fa3dce20d553b325ca570851e7"),
-        (lambda: sequence_subgraph(PeriodicSequence((0, 1, 3), 12), 2),
+        (lambda: (ReducedGraph(2, 12), PeriodicSequence((0, 1, 3), 12)),
          "nega_sequence_subgraph",
          "f6fd5e51d284a7597f6f87a9c24512b9ba7e895b88db8c881dacfeb4d7b20095"),
     ], ids=["full-3-3", "full-4-4", "full-2-11", "subgraph-3-4", "subgraph-2-12"])
     def test_text_pinned(self, make, name, digest):
-        text = export_dot(make())
+        text = export_dot(*make())
         assert text.startswith(f"digraph {name} {{\n")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
