@@ -10,11 +10,12 @@ smallest edge code: each unused code in turn is a first edge, and later
 edges must exceed it.  The only per-code table is the used-edge bitmap,
 one byte per code; it starts with the negasymmetric codes (the
 non-edges, built from their definition by `negasymmetric_codes`) set,
-and they stay set.  The walk is the only stack.  The partner -e^R of an
-edge is read from the two half tables of `partner_halves` (built once)
-when the edge is taken and again when it is released; after a release
-the scan goes on from the next code in the block of k out-edges of the
-edge's tail vertex.
+and they stay set.  The partners -e^R of the walk's edges are a stack
+beside it.  An edge e taken after f has the partner
+(-e mod k)*k^(n-1) + (-f^R div k), since -(w.x)^R = (-x).(-w^R); the
+stack is seeded with -s^R * k for the start vertex s, so the first edge
+takes the same step.  A release pops the partner, and the scan goes on
+from the next code in the block of k out-edges of the edge's tail vertex.
 
 A branch is cut when the walk can never close: it has left its start
 vertex and every in-edge of that vertex is used or blocked by a used
@@ -63,7 +64,8 @@ except ImportError:
 from .errors import InternalConsistencyError
 from .bounds import nos_bound
 from .graph import ReducedGraph
-from .tuples import check_graph_params, codes_within, negasymmetric_codes, partner_halves
+from .tuples import (check_graph_params, codes_within, decode, encode, nega_reverse_symbols,
+                     negasymmetric_codes)
 from .verify import PeriodicSequence, is_nos
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -137,7 +139,6 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
     started = time.monotonic()
     bound = nos_bound(n, k).value
 
-    K, low, high = partner_halves(n, k)
     # Negasymmetric codes are no edges: they start used and stay used.
     used = bytearray(num_codes)
     for e in negasymmetric_codes(n, k):
@@ -180,11 +181,13 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
         # Unused in-edges of start: once none is left, the walk cannot close.
         start_in = sum(not used[y * num_vertices + start] for y in range(k))
         walk: list[int] = []
+        partners = [encode(nega_reverse_symbols(decode(start, n - 1, k), k), k) * k]
         e = e0
         while True:
             if e >= 0:  # take e and its partner; try its head's out-edges
                 walk.append(e)
-                p = low[e % K] + high[e // K]
+                p = -e % k * num_vertices + partners[-1] // k
+                partners.append(p)
                 used[e] = used[p] = 1
                 v = e % num_vertices
                 start_in -= (v == start) + (p % num_vertices == start)
@@ -195,8 +198,7 @@ def max_nos_search(cfg: SearchConfig) -> SearchResult:
                 lo = v * k
                 hi = lo + k if v == start or start_in else lo  # empty: cut
             else:  # release the last edge and its partner; try its next sibling
-                e = walk.pop()
-                p = low[e % K] + high[e // K]
+                e, p = walk.pop(), partners.pop()
                 used[e] = used[p] = 0
                 start_in += (e % num_vertices == start) + (p % num_vertices == start)
                 if not walk:

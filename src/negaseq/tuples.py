@@ -178,27 +178,6 @@ def nega_reverse_symbols(symbols: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple([-s % k for s in symbols[::-1]])
 
 
-def partner_halves(n: int, k: int) -> tuple[int, list[int], list[int]]:
-    """(K, low, high) with K = k^(n//2) and -e^R == low[e % K] + high[e // K]
-    for every code e of length n.
-
-    The partner map e -> -e^R of all k^n codes in two tables of k^(n//2)
-    and k^ceil(n/2) entries: -(hi*K + lo)^R = (-lo^R)*k^ceil(n/2) + -hi^R.
-    e is an edge of the reduced graph iff its partner differs from it.
-    Each table of -w^R over the words w of one length grows from the last by
-    -(w.s)^R = (-s).(-w^R), from [0] for the empty word; `high` is the table
-    at length ceil(n/2), `low` the one at n//2 on the way there, scaled.  That
-    is O(k^ceil(n/2)) list work and no per-code arithmetic.
-    """
-    half = n // 2
-    shift = k ** (n - half)
-    tables = [[0]]
-    for length in range(n - half):
-        step = [-s % k * k**length for s in range(k)]
-        tables.append([x + y for x in tables[-1] for y in step])
-    return k**half, [p * shift for p in tables[half]], tables[-1]
-
-
 def negasymmetric_codes(n: int, k: int) -> list[int]:
     """The codes e == -e^R of length n (the reduced graph's non-edges): those
     of length L + 2 are s.w.(-s), code s*k^(L+1) + w*k + (-s mod k), for each

@@ -54,7 +54,7 @@ def pytest_runtest_teardown(item):
 
 def nega_reverse_code(code: int, n: int, k: int) -> int:
     """Code of -u^R given the code of u, one symbol at a time: the per-code
-    oracle for `tuples.partner_halves` and the graphs built from it."""
+    oracle for the search's partner step and for the graph's non-edges."""
     out = 0
     for _ in range(n):
         code, r = divmod(code, k)

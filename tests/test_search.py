@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from negaseq import search as search_mod, tuples as tuples_mod
+from negaseq import search as search_mod
 from negaseq.errors import BudgetError, InternalConsistencyError
 from negaseq.search import (
     SearchConfig,
@@ -342,6 +342,20 @@ class TestFlowBoundStop:
         # 20 000 in the other lists
         assert certified == 885 + 40 + 39 + 4
 
+    def test_exhaustive_dfs_confirms_the_flow_bound(self, request):
+        """Two routes to the maximum of (3, 3): the flow bound certifies
+        period 10 after 27 expansions, and the DFS without it exhausts the
+        graph in 911, every take and release through the partner step, and
+        finds the same sequence."""
+        flow = max_nos_search(SearchConfig(3, 3))
+        request.getfixturevalue("dfs_only")
+        dfs = max_nos_search(SearchConfig(3, 3))
+        assert (flow.period, flow.optimal, flow.expansions, flow.flow_bound) == (
+            10, True, 27, 10)
+        assert (dfs.period, dfs.optimal, dfs.expansions, dfs.flow_bound) == (
+            10, True, 911, None)
+        assert dfs.best_sequence == flow.best_sequence
+
 
 def _count_calls(monkeypatch, names):
     """Count calls to search-module attributes, through the module globals
@@ -379,24 +393,6 @@ class TestRecordChecks:
         result = max_nos_search(SearchConfig(n=2, k=k))
         assert (result.optimal, result.period) == (True, result.bound)
         assert calls == {"canonicalize": 0}
-
-    @pytest.mark.parametrize("n,k", [(2, 5), (3, 3), (5, 4)])
-    def test_partner_halves_built_once_per_search(self, monkeypatch, n, k):
-        """Only the search reads the partner tables, and builds them once.
-        The non-edges, of the search and of the flow bound (computed once at
-        the k^n-th expansion; only (3, 3) reaches it within the budget of
-        100), are built from their definition, without tables."""
-        calls = []
-
-        def counted(*args, _inner=tuples_mod.partner_halves):
-            calls.append(args)
-            return _inner(*args)
-
-        for module in (tuples_mod, search_mod):
-            monkeypatch.setattr(module, "partner_halves", counted)
-        result = max_nos_search(SearchConfig(n=n, k=k, node_budget=100))
-        assert (result.flow_bound is not None) == ((n, k) == (3, 3))
-        assert calls == [(n, k)]
 
     @pytest.mark.parametrize("n,k,budget,seconds,exit_path", [
         (3, 3, 10**9, None, "exhaustive"),

@@ -1,6 +1,5 @@
 import itertools
 import sys
-import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +19,6 @@ from negaseq.tuples import (
     negasymmetric_codes,
     count_grows,
     parse_symbols,
-    partner_halves,
     printable_power,
 )
 
@@ -68,31 +66,28 @@ class TestInvolutions:
         + [(3, 10), (2, 12)]
 
     @pytest.mark.parametrize("n,k", CELLS)
-    def test_partner_codes_match_scalar_map(self, n, k):
-        K, low, high = partner_halves(n, k)
-        assert (len(low), len(high)) == (k ** (n // 2), k ** (n - n // 2))
-        assert [low[code % K] + high[code // K] for code in range(k**n)] == \
-            [nega_reverse_code(code, n, k) for code in range(k**n)]
+    def test_partner_step_matches_oracle(self, n, k):
+        """The search's partner step: after any of its k parents
+        f = y.(e div k), an edge e has the partner
+        (-e mod k)*k^(n-1) + partner[f] div k, and after its start vertex
+        s = e div k, whose seed is -s^R * k, the same with -s^R for
+        partner[f] div k."""
+        partner = [nega_reverse_code(e, n, k) for e in range(k**n)]
+        shift = k ** (n - 1)
+        for e in range(k**n):
+            lead = -e % k * shift
+            assert [lead + partner[y * shift + e // k] // k for y in range(k)] == \
+                [partner[e]] * k, e
+            sigma = encode(nega_reverse_symbols(decode(e // k, n - 1, k), k), k)
+            assert lead + sigma == partner[e], e
 
     @pytest.mark.parametrize("n,k", CELLS)
     def test_negasymmetric_codes_match_scan(self, n, k):
         """The non-edges built from their definition are those of the
-        per-code scan and the fixed points of the partner tables, which the
-        search reads for partners: the two routes the search relies on."""
+        per-code scan, as many as the closed form counts."""
         codes = negasymmetric_codes(n, k)
         assert codes == [e for e in range(k**n) if nega_reverse_code(e, n, k) == e]
-        K, low, high = partner_halves(n, k)
-        assert codes == [e for e in range(k**n) if low[e % K] + high[e // K] == e]
         assert len(codes) == count_class(TupleClass.NEGASYMMETRIC, n, k)
-
-    def test_partner_halves_is_linear_in_its_tables(self):
-        # 2 * 5^8 entries: about 0.07 s by the recurrence, 1.0-1.4 s by a
-        # divmod loop per code (Python 3.11, 2 vCPUs).
-        start = time.process_time()
-        K, low, high = partner_halves(16, 5)
-        elapsed = time.process_time() - start
-        assert (K, len(low), len(high)) == (5**8, 5**8, 5**8)
-        assert elapsed < 0.5, elapsed
 
 
 class TestPredicates:
