@@ -30,34 +30,31 @@ def _regime(n: int, k: int) -> str:
     return f"{n_tag}-{k_tag}"
 
 
+_CASE_FORMULAS = {  # twice the bound for each `_regime` label, in exact integers
+    "n2-odd": lambda n, k: k**2 - k,
+    "n2-even": lambda n, k: k**2 - k - 2,
+    "n3-odd": lambda n, k: k**3 - 2 * k + 1,
+    "n3-even": lambda n, k: k**3 - 2 * k - 6,
+    "n4-odd": lambda n, k: k**4 - 2 * k**2 + 1,
+    "n4-even": lambda n, k: k**4 - 2 * k**2 + k - 2,
+    "odd-odd": lambda n, k: k**n - 5 * k ** ((n - 1) // 2) + 4 * k,
+    "odd-even": lambda n, k: k**n - 6 * k ** ((n - 1) // 2) + 3 * k + 2,
+    "even-odd": lambda n, k: k**n - 3 * k ** (n // 2) - 2 * k ** ((n - 2) // 2) + k**2 + 3 * k,
+    "even-even": lambda n, k: k**n - 3 * k ** (n // 2) + k**2 + k - 2,
+}
+
+
 class BoundValue(NamedTuple):
     value: int
     regime: str
     breakdown: BoundBreakdown
 
 
-def _numerator(n: int, k: int) -> int:
-    """The case formula's numerator (twice the bound).  Exact integers only."""
-    k_odd = k % 2 == 1
-    if n == 2:
-        return k**2 - k if k_odd else k**2 - k - 2
-    if n == 3:
-        return k**3 - 2 * k + 1 if k_odd else k**3 - 2 * k - 6
-    if n == 4:
-        return k**4 - 2 * k**2 + 1 if k_odd else k**4 - 2 * k**2 + k - 2
-    if n % 2 == 1 and k_odd:
-        return k**n - 5 * k ** ((n - 1) // 2) + 4 * k
-    if n % 2 == 1:
-        return k**n - 6 * k ** ((n - 1) // 2) + 3 * k + 2
-    if k_odd:
-        return k**n - 3 * k ** (n // 2) - 2 * k ** ((n - 2) // 2) + k**2 + 3 * k
-    return k**n - 3 * k ** (n // 2) + k**2 + k - 2
-
-
 def nos_bound(n: int, k: int) -> BoundValue:
     """Upper bound on the period of a k-ary order-n negative orientable sequence."""
     check_graph_params(n, k)
-    numerator = _numerator(n, k)
+    regime = _regime(n, k)
+    numerator = _CASE_FORMULAS[regime](n, k)
     if numerator % 2 != 0:
         raise InternalConsistencyError(
             f"odd bound numerator {numerator} at n={n}, k={k}")
@@ -66,7 +63,7 @@ def nos_bound(n: int, k: int) -> BoundValue:
         raise InternalConsistencyError(
             f"case formula gives {numerator // 2} but the excluded-edge budget "
             f"gives {breakdown.resulting_period_bound} at n={n}, k={k}")
-    return BoundValue(numerator // 2, _regime(n, k), breakdown)
+    return BoundValue(numerator // 2, regime, breakdown)
 
 
 # -- reference tables -----------------------------------------------------
@@ -96,8 +93,8 @@ def _int_cell(row: dict, column: str, line: int, optional: bool = False) -> Opti
 def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], ReferenceEntry]:
     """Parse the reference CSV (the packaged one unless a path is given).
 
-    An unreadable or undecodable file, a missing or repeated column, an extra
-    field, a non-integer field, a `maximal` not 0 or 1 or a repeated (n, k)
+    An unreadable or undecodable file, a missing or repeated column, an extra,
+    oversized or non-integer field, a `maximal` not 0 or 1 or a repeated (n, k)
     cell raises ValueError naming the path and line; a leading BOM is skipped.
     """
     try:
@@ -135,8 +132,10 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
                 raise ValueError(f"line {numbered[0][0] if numbered else 1}: "
                                  f"no column {column!r}")
         return entries
-    except (OSError, ValueError) as exc:  # OSError: a directory, or unreadable
+    except (OSError, ValueError, csv.Error) as exc:  # OSError: a directory, or unreadable
         source = path if path is not None else "packaged reference_bounds.csv"
+        if isinstance(exc, csv.Error):  # a field over its size limit, on the line last read
+            exc = f"line {numbered[reader.reader.line_num - 1][0]}: {exc}"
         raise ValueError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from None
 
 

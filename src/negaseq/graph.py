@@ -3,11 +3,12 @@
 Vertices are the k^(n-1) words of length n-1; each n-tuple is an edge from
 its length-(n-1) prefix to its length-(n-1) suffix.  The reduced graph
 drops every negasymmetric n-tuple: a code e is an edge iff e != -e^R.
-`vertex_profile` applies that rule to a word (`Word.is_negasymmetric`).  The
-other route builds the non-edges from their definition, as s.w.(-s) around
-a shorter negasymmetric w (`negasymmetric_codes`); every code it does not
-list is an edge.  It is behind `ReducedGraph.edge_bitmap` (the search's
-graph hash), `ReducedGraph.edges` and the DOT export.
+`vertex_profile` reads that rule off a vertex's sns flags: y.v is a non-edge
+for one y iff v is left-sns, v.x for one x iff v is right-sns.  The other
+route builds the non-edges from their definition, as s.w.(-s) around a
+shorter negasymmetric w (`negasymmetric_codes`); every code it does not list
+is an edge.  It is behind `ReducedGraph.edge_bitmap` (the search's graph
+hash), `ReducedGraph.edges` and the DOT export.
 """
 
 from __future__ import annotations
@@ -80,21 +81,19 @@ class VertexProfile(NamedTuple):
 
 
 def vertex_profile(g: ReducedGraph, v: Word) -> VertexProfile:
-    """Degrees by testing the one candidate non-edge in each direction as a
-    word, in time linear in n, plus the classification flags.
+    """The classification flags, and the degrees read off them, in time
+    linear in n.
 
     An n-tuple is negasymmetric only if its first symbol is minus its last,
-    so y.v is the only in-edge of v that can be missing (y = -v[-1]), and
-    v.x the only out-edge (x = -v[0]).  The degrees always satisfy: in =
-    k-1 iff left-sns else k, and out = k-1 iff right-sns else k.
+    so y.v (y = -v[-1]) is the only in-edge of v that can be missing, and it
+    is missing iff v's first n-2 symbols are negasymmetric: in = k-1 iff v is
+    left-sns, else k.  Likewise v.x (x = -v[0]): out = k-1 iff right-sns.
     """
     if len(v) != g.n - 1 or v.k != g.k:
         raise ValueError(
             f"vertex label must have length {g.n - 1} over Z_{g.k}, got {v}")
-    s, k = v.symbols, g.k
-    in_degree = k - Word((-s[-1] % k,) + s, k).is_negasymmetric()
-    out_degree = k - Word(s + (-s[0] % k,), k).is_negasymmetric()
-    return VertexProfile(in_degree, out_degree, structural_flags(v))
+    flags = structural_flags(v)
+    return VertexProfile(g.k - flags["left_sns"], g.k - flags["right_sns"], flags)
 
 
 class SequenceSubgraph(NamedTuple):

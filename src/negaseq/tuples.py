@@ -18,7 +18,7 @@ import itertools
 import math
 import sys
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
 
@@ -35,7 +35,8 @@ class Symbols:
     __slots__ = _fields = ("symbols", "k")
     _noun = _k_note = ""
 
-    def __init__(self, symbols: tuple[int, ...], k: int):
+    def __init__(self, symbols: Sequence[int], k: int):
+        symbols = tuple(symbols)  # from any sequence; a tuple is not copied
         if k < 3:
             raise ValueError(f"alphabet size must be at least 3, got k={k}{self._k_note}")
         if not symbols:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from negaseq import flow as flow_mod
-from negaseq.tuples import Word, decode
+from negaseq.tuples import Word, decode, negasymmetric_codes
 
 # Seconds each phase of a test (setup, call, teardown) may run.  The slowest
 # test takes about 6 s; a search whose cut stops firing never finishes, and
@@ -71,6 +71,17 @@ def edge_count(g) -> int:
 def vertex_words(n: int, k: int) -> list[Word]:
     """The k^(n-1) vertices of the order-n graph as words, in code order."""
     return [Word(decode(v, n - 1, k), k) for v in range(k ** (n - 1))]
+
+
+def counted_degrees(n: int, k: int) -> list[tuple[int, int]]:
+    """(in, out) of each vertex of the order-n graph, in code order: its
+    in-edges y.v and out-edges v.x counted over the codes that
+    `negasymmetric_codes` does not list.  The oracle for the degrees that
+    `vertex_profile` reads off the sns flags."""
+    non_edges, num_vertices = set(negasymmetric_codes(n, k)), k ** (n - 1)
+    return [(sum(y * num_vertices + v not in non_edges for y in range(k)),
+             sum(v * k + x not in non_edges for x in range(k)))
+            for v in range(num_vertices)]
 
 
 def src_env():

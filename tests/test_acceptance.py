@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import edge_count, nega_reverse_code, vertex_words
+from conftest import counted_degrees, edge_count, nega_reverse_code, vertex_words
 from negaseq.bounds import load_reference_table, nos_bound
 from negaseq.graph import (
     ReducedGraph,
@@ -69,10 +69,11 @@ def test_criterion_2_edges_and_degrees():
             for n in (2, 3, 4, 5):
                 g = ReducedGraph(n, k)
                 assert edge_count(g) == edge_count_formula(n, k), (n, k)
-                for v, word in enumerate(vertex_words(n, k)):
+                # the profile's degrees against a count over the non-edge codes
+                for v, (word, degrees) in enumerate(zip(vertex_words(n, k),
+                                                        counted_degrees(n, k))):
                     p = vertex_profile(g, word)
-                    assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
-                    assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
+                    assert (p.in_degree, p.out_degree) == degrees, (n, k, v)
 
 
 def test_criterion_3_reference_table_regression():

@@ -52,12 +52,17 @@ class TestNosBound:
         (1, "odd bound numerator 23 at n=3, k=3"),
     ], ids=["routes-disagree", "odd-numerator"])
     def test_inconsistent_numerator_raises(self, monkeypatch, shift, message):
-        numerator = bounds._numerator
-        monkeypatch.setattr(bounds, "_numerator",
-                            lambda n, k: numerator(n, k) + shift)
+        formula = bounds._CASE_FORMULAS["n3-odd"]
+        monkeypatch.setitem(bounds._CASE_FORMULAS, "n3-odd",
+                            lambda n, k: formula(n, k) + shift)
         with pytest.raises(InternalConsistencyError) as err:
             nos_bound(3, 3)
         assert str(err.value) == message
+
+    def test_regime_labels_key_the_case_formulas(self):
+        # Every label `_regime` returns has a formula, and every formula a label.
+        labels = {bounds._regime(n, k) for n in range(2, 8) for k in range(3, 7)}
+        assert labels == set(bounds._CASE_FORMULAS)
 
     def test_monotone_in_k(self):
         for n in range(2, 10):

@@ -550,8 +550,12 @@ class TestBoundAndTable:
          "line 2: column 'maximal' is not 0 or 1: 7"),
         ("# comment\nn,k,new_bound,old_bound,best_known,maximal,n\n5,3,105,106,,,7\n",
          "line 2: column 'n' repeats in the header"),
+        # past the csv module's field size limit, which raises csv.Error
+        ("# comment\nn,k,new_bound,old_bound,best_known,maximal\n2,3," + "9" * 200_000
+         + ",3,,\n", "line 3: field larger than field limit (131072)"),
     ], ids=["missing-column", "non-integer", "header-only", "repeated-cell",
-            "field-past-header", "maximal-not-0-or-1", "repeated-column"])
+            "field-past-header", "maximal-not-0-or-1", "repeated-column",
+            "oversized-field"])
     def test_malformed_reference_csv_is_usage_error(self, runner, tmp_path,
                                                     text, message):
         path = tmp_path / "reference.csv"

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import edge_count, nega_reverse_code, vertex_words
+from conftest import counted_degrees, edge_count, nega_reverse_code, vertex_words
 from negaseq import graph as graph_mod
 from negaseq.errors import BudgetError, NotAnNosError
 from negaseq.graph import (
@@ -54,13 +54,14 @@ class TestEdgeCounts:
 
 class TestDegrees:
     def test_degree_rule(self):
-        # in-degree is k-1 at left-sns vertices and k elsewhere; dually for out.
+        # The degrees read off the sns flags against a count of the edges in
+        # and out of each vertex over the non-edge codes.
         for n, k in SMALL:
             g = ReducedGraph(n, k)
-            for v, word in enumerate(vertex_words(n, k)):
+            for v, (word, degrees) in enumerate(zip(vertex_words(n, k),
+                                                    counted_degrees(n, k))):
                 p = vertex_profile(g, word)
-                assert p.in_degree == (k - 1 if p.flags["left_sns"] else k), (n, k, v)
-                assert p.out_degree == (k - 1 if p.flags["right_sns"] else k), (n, k, v)
+                assert (p.in_degree, p.out_degree) == degrees, (n, k, v)
 
     def test_degree_sums_equal_edge_count(self):
         for n, k in SMALL:
@@ -83,17 +84,16 @@ class TestDegrees:
 
     @pytest.mark.parametrize("n,symbols,degrees", [
         (100_001, (1,) * 100_000, (9, 9)),
-        # left-sns, so the in-probe y.v is the negasymmetric non-edge
+        # left-sns, so the in-edge y.v with y = -v[-1] is a non-edge
         (100_000, (1, 8) * 49_999 + (3,), (8, 9)),
     ], ids=["ones", "left_sns"])
     def test_profile_is_linear_in_n(self, n, symbols, degrees):
         # Non-zero symbols: arithmetic on the vertex's code, a number of
-        # about n digits, would make each probe quadratic in n.
+        # about n digits, would make the profile quadratic in n.
         start = time.process_time()
         p = vertex_profile(ReducedGraph(n, 9), Word(symbols, 9))
         elapsed = time.process_time() - start
         assert (p.in_degree, p.out_degree) == degrees
-        assert degrees == (9 - p.flags["left_sns"], 9 - p.flags["right_sns"])
         assert elapsed < 1.0, elapsed
 
 

@@ -127,6 +127,17 @@ def test_records_compare_by_value_and_class():
     assert Witness(0, 1, "x") == (0, 1, "x")
 
 
+@pytest.mark.parametrize("cls", [Word, PeriodicSequence])
+def test_symbols_from_a_list_are_a_tuple(cls):
+    """A list-built value equals and hashes as the tuple-built one, and the
+    list it came from can no longer change it past its range check."""
+    symbols = [0, 1, 2]
+    a, b = cls(symbols, 3), cls((0, 1, 2), 3)
+    symbols.append(7)
+    assert type(a.symbols) is tuple and a.symbols == (0, 1, 2)
+    assert a == b and hash(a) == hash(b) and {b: 1}[a] == 1
+
+
 @pytest.mark.parametrize("record, field", [
     (Word((0, 1), 3), "symbols"), (Word((0, 1), 3), "k"),
     (PeriodicSequence((0, 1), 3), "symbols"), (PeriodicSequence((0, 1), 3), "k"),
