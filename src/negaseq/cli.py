@@ -190,6 +190,8 @@ def count(class_name, n, k, do_enumerate, fmt):
     with _printing(n, k, power):
         _emit(payload, fmt, f"{value}\n")
     if do_enumerate and not payload["matches"]:
+        click.echo(f"enumeration found {enumerated} words, the closed form gives {value}",
+                   err=True)
         sys.exit(EXIT_INVALID)
 
 

@@ -1,15 +1,15 @@
 """Words over Z_k, their symmetry maps, structural predicates and counts.
 
 A "word" here is a fixed-length tuple of residues mod k with the alphabet
-size carried alongside.  The structural predicates (negasymmetric, uniform,
-alternating, uniform-alternating, left/right semi-negasymmetric) drive both
-the reduced de Bruijn graph and the period-bound bookkeeping.  Each
-`TupleClass` member carries its row: its smallest n, its closed-form count
-and the predicates that must hold and must fail.  The counts share
-two facts, each written once: the number e(k) of self-negating residues,
-and the sns count k * negasymmetric(n-1).  Every closed count has a
-brute-force enumeration oracle (`enumerate_class`), so each row is
-independently checkable.
+size carried alongside.  Each structural predicate (negasymmetric, uniform,
+alternating, uniform-alternating, left/right semi-negasymmetric) is written
+once, over a symbol tuple and k: `Word`'s methods, `structural_flags`, the
+class rows and the enumeration oracle all call it.  Each `TupleClass` member
+carries its row: its smallest n, its closed-form count and the predicates
+that must hold and must fail.  The counts share two facts, each written
+once: the number e(k) of self-negating residues, and the sns count
+k * negasymmetric(n-1).  Every closed count has a brute-force enumeration
+oracle (`enumerate_class`), so each row is independently checkable.
 """
 
 from __future__ import annotations
@@ -72,45 +72,53 @@ class Symbols:
         return ",".join(str(s) for s in self.symbols)
 
 
+def negasymmetric(s: tuple[int, ...], k: int) -> bool:
+    """s[i] == -s[n-1-i] mod k for every i, the end pair tested first; true of ()."""
+    return not s or (s[0] + s[-1]) % k == 0 and s == nega_reverse_symbols(s, k)
+
+
+def uniform(s: tuple[int, ...], k: int) -> bool:
+    return s.count(s[0]) == len(s)
+
+
+def alternating(s: tuple[int, ...], k: int) -> bool:
+    """Even positions carry one value, odd positions another, distinct;
+    False for a 1-tuple, which has no odd position."""
+    return len(s) > 1 and s[0] != s[1] and s[2:] == s[:-2]
+
+
+def uniform_alternating(s: tuple[int, ...], k: int) -> bool:
+    """Each symbol is the mod-k negation of the one before; False for a 1-tuple."""
+    return len(s) > 1 and s[1] == -s[0] % k and s[2:] == s[:-2]
+
+
+def left_sns(s: tuple[int, ...], k: int) -> bool:
+    """The prefix of length n-1 is negasymmetric, the empty one of a 1-tuple too."""
+    return negasymmetric(s[:-1], k)
+
+
+def right_sns(s: tuple[int, ...], k: int) -> bool:
+    return negasymmetric(s[1:], k)
+
+
+_FLAGS = (negasymmetric, uniform, alternating, uniform_alternating, left_sns, right_sns)
+
+
+def _method(predicate):
+    return lambda self: predicate(self.symbols, self.k)
+
+
 class Word(Symbols):
-    """An n-tuple over Z_k.  Immutable; its methods are structural predicates."""
+    """An n-tuple over Z_k.  Immutable; its methods are the structural predicates."""
 
     __slots__ = ()
     _noun, _k_note = "word", " (negating a symbol is the identity for k=2)"
-
-    # -- structural predicates -------------------------------------------
-
-    def is_negasymmetric(self) -> bool:
-        """True iff symbols[i] == -symbols[n-1-i] mod k for every i."""
-        return self.symbols == nega_reverse_symbols(self.symbols, self.k)
-
-    def is_uniform(self) -> bool:
-        return len(set(self.symbols)) == 1
-
-    def is_alternating(self) -> bool:
-        """Even positions carry one value, odd positions another, distinct;
-        False for a 1-tuple, which has no odd position."""
-        s = self.symbols
-        return len(s) > 1 and s[0] != s[1] and s[2:] == s[:-2]
-
-    def is_uniform_alternating(self) -> bool:
-        """Each symbol is the mod-k negation of its predecessor; False for a
-        1-tuple, as for `is_alternating`."""
-        s = self.symbols
-        return len(s) > 1 and s[1] == -s[0] % self.k and s[2:] == s[:-2]
-
-    def is_left_sns(self) -> bool:
-        """Prefix of length n-1 is negasymmetric (semi-negasymmetric on the left).
-
-        Defined for n >= 1; a 1-tuple is vacuously left-sns (empty prefix).
-        """
-        prefix = self.symbols[:-1]
-        return prefix == nega_reverse_symbols(prefix, self.k)
-
-    def is_right_sns(self) -> bool:
-        """Suffix of length n-1 is negasymmetric."""
-        suffix = self.symbols[1:]
-        return suffix == nega_reverse_symbols(suffix, self.k)
+    is_negasymmetric = _method(negasymmetric)
+    is_uniform = _method(uniform)
+    is_alternating = _method(alternating)
+    is_uniform_alternating = _method(uniform_alternating)
+    is_left_sns = _method(left_sns)
+    is_right_sns = _method(right_sns)
 
 
 def check_graph_params(n: int, k: int) -> None:
@@ -129,15 +137,8 @@ def parse_symbols(text: str) -> tuple[int, ...]:
 
 
 def structural_flags(w: Word) -> dict[str, bool]:
-    """The six structural flags of w."""
-    return {
-        "negasymmetric": w.is_negasymmetric(),
-        "uniform": w.is_uniform(),
-        "alternating": w.is_alternating(),
-        "uniform_alternating": w.is_uniform_alternating(),
-        "left_sns": w.is_left_sns(),
-        "right_sns": w.is_right_sns(),
-    }
+    """The six structural flags of w, by predicate name."""
+    return {p.__name__: p(w.symbols, w.k) for p in _FLAGS}
 
 
 # -- integer codes --------------------------------------------------------
@@ -197,14 +198,14 @@ def _self_negating(k: int) -> int:
     return 2 - k % 2
 
 
-def _negasymmetric(n: int, k: int, e: int) -> int:
+def _negasymmetric_count(n: int, k: int, e: int) -> int:
     """A free first half, its nega-reverse, and for odd n a self-negating middle."""
     return (e if n % 2 else 1) * k ** (n // 2)
 
 
 def _sns(n: int, k: int, e: int) -> int:
     """A negasymmetric prefix of length n-1, then a free last symbol."""
-    return k * _negasymmetric(n - 1, k, e)
+    return k * _negasymmetric_count(n - 1, k, e)
 
 
 class TupleClass(Enum):
@@ -220,45 +221,44 @@ class TupleClass(Enum):
         member._value_, member.row = value, row
         return member
 
-    NEGASYMMETRIC = "negasymmetric", 1, True, _negasymmetric, (Word.is_negasymmetric,), ()
-    UNIFORM = "uniform", 2, False, lambda n, k, e: k, (Word.is_uniform,), ()
-    ALTERNATING = ("alternating", 2, False, lambda n, k, e: k * (k - 1),
-                   (Word.is_alternating,), ())
+    NEGASYMMETRIC = "negasymmetric", 1, True, _negasymmetric_count, (negasymmetric,), ()
+    UNIFORM = "uniform", 2, False, lambda n, k, e: k, (uniform,), ()
+    ALTERNATING = "alternating", 2, False, lambda n, k, e: k * (k - 1), (alternating,), ()
     UNIFORM_ALTERNATING = ("uniform-alternating", 2, False, lambda n, k, e: k,
-                           (Word.is_uniform_alternating,), ())
+                           (uniform_alternating,), ())
     UNIFORM_AND_UNIFORM_ALTERNATING = (
         "uniform-and-uniform-alternating", 2, False, lambda n, k, e: e,
-        (Word.is_uniform, Word.is_uniform_alternating), ())
+        (uniform, uniform_alternating), ())
     UNIFORM_NEGASYMMETRIC = ("uniform-negasymmetric", 2, False, lambda n, k, e: e,
-                             (Word.is_uniform, Word.is_negasymmetric), ())
+                             (uniform, negasymmetric), ())
     UNIFORM_ALTERNATING_NEGASYMMETRIC = (
         "uniform-alternating-negasymmetric", 2, False, lambda n, k, e: e if n % 2 else k,
-        (Word.is_uniform_alternating, Word.is_negasymmetric), ())
+        (uniform_alternating, negasymmetric), ())
     ALTERNATING_NEGASYMMETRIC = (
         "alternating-negasymmetric", 2, False, lambda n, k, e: 2 * e - 2 if n % 2 else k - e,
-        (Word.is_alternating, Word.is_negasymmetric), ())
-    LEFT_SNS = "left-sns", 2, True, _sns, (Word.is_left_sns,), ()
-    RIGHT_SNS = "right-sns", 2, True, _sns, (Word.is_right_sns,), ()
+        (alternating, negasymmetric), ())
+    LEFT_SNS = "left-sns", 2, True, _sns, (left_sns,), ()
+    RIGHT_SNS = "right-sns", 2, True, _sns, (right_sns,), ()
     NON_UNIFORM_LEFT_SNS = ("non-uniform-left-sns", 2, True, lambda n, k, e: _sns(n, k, e) - e,
-                            (Word.is_left_sns,), (Word.is_uniform,))
+                            (left_sns,), (uniform,))
     NON_UNIFORM_RIGHT_SNS = ("non-uniform-right-sns", 2, True, lambda n, k, e: _sns(n, k, e) - e,
-                             (Word.is_right_sns,), (Word.is_uniform,))
+                             (right_sns,), (uniform,))
     NON_UNIFORM_ALTERNATING_LEFT_SNS = (
         "non-uniform-alternating-left-sns", 2, True,
         lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
-        (Word.is_left_sns,), (Word.is_uniform_alternating,))
+        (left_sns,), (uniform_alternating,))
     NON_UNIFORM_ALTERNATING_RIGHT_SNS = (
         "non-uniform-alternating-right-sns", 2, True,
         lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e),
-        (Word.is_right_sns,), (Word.is_uniform_alternating,))
+        (right_sns,), (uniform_alternating,))
     NON_UNIFORM_NON_ALTERNATING_LEFT_SNS = (
         "non-uniform-non-alternating-left-sns", 3, True,
         lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
-        (Word.is_left_sns,), (Word.is_uniform, Word.is_alternating))
+        (left_sns,), (uniform, alternating))
     NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS = (
         "non-uniform-non-alternating-right-sns", 3, True,
         lambda n, k, e: _sns(n, k, e) - (k if n % 2 else e * e),
-        (Word.is_right_sns,), (Word.is_uniform, Word.is_alternating))
+        (right_sns,), (uniform, alternating))
 
 
 def _row(cls: TupleClass) -> tuple:
@@ -270,7 +270,7 @@ def _row(cls: TupleClass) -> tuple:
 def class_predicate(cls: TupleClass, w: Word) -> bool:
     """True iff w is in cls: the class's row, evaluated in order."""
     *_, holds, fails = _row(cls)
-    return all(p(w) for p in holds) and not any(p(w) for p in fails)
+    return all(p(w.symbols, w.k) for p in holds) and not any(p(w.symbols, w.k) for p in fails)
 
 
 def count_grows(cls: TupleClass) -> bool:
@@ -310,11 +310,17 @@ def codes_within(n: int, k: int, budget: int, what: str) -> int:
 
 
 def enumerate_class(cls: TupleClass, n: int, k: int) -> Iterator[Word]:
-    """Brute-force oracle: yield, in lexicographic order, the n-tuples in cls.
-    Refuses k^n above `ENUMERATION_BUDGET` before it yields a word."""
+    """Brute-force oracle: the n-tuples in cls, in lexicographic order.  All
+    k^n tuples are tested, through one filter per predicate that must hold
+    and one filterfalse per predicate that must fail; only the survivors
+    become Words.  A bad class, too small an n or k^n above
+    `ENUMERATION_BUDGET` raises at the call, before any tuple is tested."""
     _check_count_args(cls, n, k)
     codes_within(n, k, ENUMERATION_BUDGET, "enumeration")
-    for symbols in itertools.product(range(k), repeat=n):
-        w = Word(symbols, k)
-        if class_predicate(cls, w):
-            yield w
+    *_, holds, fails = cls.row
+    tuples = itertools.product(range(k), repeat=n)
+    for p in holds:
+        tuples = filter(lambda s, p=p: p(s, k), tuples)
+    for p in fails:
+        tuples = itertools.filterfalse(lambda s, p=p: p(s, k), tuples)
+    return map(Word, tuples, itertools.repeat(k))

@@ -413,6 +413,21 @@ class TestClassify:
                 [pair.split("=")[0] for pair in pairs], text
 
 
+    def test_huge_k_answers_at_once(self, runner):
+        """No table indexed by symbol: classify and profile at k = 10^21."""
+        k = 10**21
+        start = time.process_time()
+        classify = runner.invoke(main, ["classify", "--k", str(k), "--tuple", f"1,0,{k - 1}",
+                                        "--format", "json"])
+        profile = runner.invoke(main, ["profile", "--n", "3", "--k", str(k), "--vertex", "0,0"])
+        assert time.process_time() - start < 1
+        assert classify.exit_code == profile.exit_code == 0
+        assert json.loads(classify.stdout)["flags"] == {
+            "negasymmetric": True, "uniform": False, "alternating": False,
+            "uniform_alternating": False, "left_sns": False, "right_sns": False}
+        assert profile.stdout.startswith(f"vertex 0,0: in={k - 1} (odd), out={k - 1} (odd)\n")
+
+
 class TestCount:
     def test_text(self, runner):
         result = runner.invoke(
@@ -439,9 +454,22 @@ class TestCount:
             main, ["count", "--class", "uniform", "--n", "4", "--k", "5",
                    "--enumerate", "--format", "json"])
         assert result.exit_code == 1
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         assert (payload["count"], payload["enumerated"]) == (6, 5)
         assert payload["matches"] is False
+        assert result.stderr == "enumeration found 5 words, the closed form gives 6\n"
+
+    def test_enumerate_mismatch_names_both_counts_in_text(self, runner, monkeypatch):
+        """stdout keeps its bytes: the closed-form value alone."""
+        from negaseq import tuples
+
+        real = tuples.count_class
+        monkeypatch.setattr(tuples, "count_class", lambda *a: real(*a) + 1)
+        result = runner.invoke(
+            main, ["count", "--class", "uniform", "--n", "4", "--k", "5", "--enumerate"])
+        assert result.exit_code == 1
+        assert result.stdout == "6\n"
+        assert result.stderr == "enumeration found 5 words, the closed form gives 6\n"
 
     def test_unknown_class_rejected(self, runner):
         result = runner.invoke(

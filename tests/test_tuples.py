@@ -20,6 +20,7 @@ from negaseq.tuples import (
     count_grows,
     parse_symbols,
     printable_power,
+    structural_flags,
 )
 
 
@@ -203,6 +204,16 @@ class TestCounts:
         monkeypatch.setattr(tuples_mod, "ENUMERATION_BUDGET", 27)
         assert len(list(enumerate_class(TupleClass.UNIFORM, 3, 3))) == 3
 
+    def test_errors_raise_at_the_call(self):
+        # Each error comes from the call itself; no item is requested.
+        with pytest.raises(BudgetError, match=f"^k\\^n = {9**30} exceeds the enumeration "
+                           "budget of 10000000$"):
+            enumerate_class(TupleClass.UNIFORM, 30, 9)
+        with pytest.raises(ValueError, match="^uniform requires n >= 2, got n=1$"):
+            enumerate_class(TupleClass.UNIFORM, 1, 3)
+        with pytest.raises(ValueError, match="^unknown class uniform$"):
+            enumerate_class("uniform", 3, 3)
+
     def test_uniform_enumeration(self):
         got = [t.symbols for t in enumerate_class(TupleClass.UNIFORM, 3, 3)]
         assert got == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
@@ -295,6 +306,40 @@ def test_class_predicate_covers_all_classes():
                 for cls in TupleClass:
                     assert outcome(class_predicate, cls, t) == \
                         outcome(oracle_predicate, cls, t), (cls, t)
+
+
+def definitions(s, k):
+    """The six flags from their definitions, written apart from the package."""
+    def nega(u):
+        return u == tuple(-x % k for x in reversed(u))
+
+    return {"negasymmetric": nega(s), "uniform": len(set(s)) == 1,
+            "alternating": len(s) > 1 and s[0] != s[1]
+            and len(set(s[::2])) == len(set(s[1::2])) == 1,
+            "uniform_alternating": len(s) > 1
+            and all((a + b) % k == 0 for a, b in zip(s, s[1:])),
+            "left_sns": nega(s[:-1]), "right_sns": nega(s[1:])}
+
+
+def test_predicates_match_their_definitions():
+    # Every word with n = 1..5, k = 3..6, through the flags and the methods.
+    for n in range(1, 6):
+        for k in range(3, 7):
+            for s in itertools.product(range(k), repeat=n):
+                t, flags = Word(s, k), definitions(s, k)
+                assert structural_flags(t) == flags, t
+                assert {name: getattr(t, f"is_{name}")() for name in flags} == flags, t
+
+
+def test_enumeration_matches_the_word_methods():
+    # The raw-tuple route against `Word`'s methods through the branch chain:
+    # every class, n from its minimum to 5 and k = 3..6, order included.
+    for cls in TupleClass:
+        for n in range(TestCounts.MIN_N[cls], 6):
+            for k in range(3, 7):
+                words = (Word(t, k) for t in itertools.product(range(k), repeat=n))
+                assert list(enumerate_class(cls, n, k)) == \
+                    [t for t in words if oracle_predicate(cls, t)], (cls, n, k)
 
 
 @pytest.mark.parametrize("cls", ["uniform", None, 3])
