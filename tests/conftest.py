@@ -1,7 +1,10 @@
 import contextlib
+import io
 import os
 import signal
+import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -89,6 +92,35 @@ def src_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args, input=None) -> CliResult:
+    """Run `negaseq.cli.main` on args in this process, with input (a str) as
+    its stdin.  An exception other than SystemExit propagates."""
+    from negaseq.cli import main
+
+    stdin = io.TextIOWrapper(io.BytesIO((input or "").encode()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = stdin, out, err
+    try:
+        code = main(args, standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
