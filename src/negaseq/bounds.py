@@ -2,10 +2,11 @@
 
 `nos_bound` evaluates the closed-form case formulas directly; the
 excluded-edge bookkeeping in `graph.excluded_edge_budget` rebuilds the
-same values from the tuple-class counts.  `nos_bound` computes both
-routes on every call and raises `InternalConsistencyError` if they
-disagree.  Reference values (including the opaque older bounds and the
-best known periods) live in a CSV shipped with the package.
+same values from the tuple-class counts; both take their regime from
+`graph.bound_regime`.  `nos_bound` computes both routes on every call
+and raises `InternalConsistencyError` if they disagree.  Reference values
+(including the opaque older bounds and the best known periods) live in a
+CSV shipped with the package.
 """
 
 from __future__ import annotations
@@ -16,21 +17,13 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import BudgetError, InternalConsistencyError
-from .graph import BoundBreakdown, excluded_edge_budget
+from .graph import BoundBreakdown, bound_regime, excluded_edge_budget
 from .tuples import check_graph_params
 
 TABLE_BUDGET = 10**5
 
 
-def _regime(n: int, k: int) -> str:
-    k_tag = "odd" if k % 2 == 1 else "even"
-    if n in (2, 3, 4):
-        return f"n{n}-{k_tag}"
-    n_tag = "odd" if n % 2 == 1 else "even"
-    return f"{n_tag}-{k_tag}"
-
-
-_CASE_FORMULAS = {  # twice the bound for each `_regime` label, in exact integers
+_CASE_FORMULAS = {  # twice the bound for each `bound_regime` label, in exact integers
     "n2-odd": lambda n, k: k**2 - k,
     "n2-even": lambda n, k: k**2 - k - 2,
     "n3-odd": lambda n, k: k**3 - 2 * k + 1,
@@ -53,7 +46,7 @@ class BoundValue(NamedTuple):
 def nos_bound(n: int, k: int) -> BoundValue:
     """Upper bound on the period of a k-ary order-n negative orientable sequence."""
     check_graph_params(n, k)
-    regime = _regime(n, k)
+    regime = bound_regime(n, k)
     numerator = _CASE_FORMULAS[regime](n, k)
     if numerator % 2 != 0:
         raise InternalConsistencyError(

@@ -72,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"{path!r}: {exc.strerror}") from None
 
-    def error(self, message):
+    def error(self, message):  # argparse's messages in click's words
+        message = re.sub(r"^argument (\S+): expected.*", r"Option '\1' requires an argument.", message)
+        message = re.sub(r"^unrecognized arguments: ([^-].*)", r"Got unexpected extra argument (\1)", message)
         raise ValueError(re.sub(r"^argument (\S+): ", r"Invalid value for '\1': ", message)
                          .replace("unrecognized arguments", "No such option"))
 
@@ -96,10 +98,11 @@ def _parser(name):
 
 def _attach_values(args, options):
     """`--opt value` as `--opt=value`, so that, as in click, an option's
-    value is the next argument even when it starts with '-' (`--k -5..-3`)."""
+    value is the next argument even when it starts with '-' (`--k -5..-3`).
+    A valued option given last stays bare, for argparse to say it lacks one."""
     valued = {flag for flag, kwargs in options if "action" not in kwargs}
     rest = iter(args)
-    return [f"{arg}={next(rest, '')}" if arg in valued else arg for arg in rest]
+    return [f"{a}={v}" if a in valued and (v := next(rest, None)) is not None else a for a in rest]
 
 
 def _parse_range(text: str) -> range:

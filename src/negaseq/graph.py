@@ -208,6 +208,9 @@ def export_dot(g: ReducedGraph, seq: Optional[PeriodicSequence] = None) -> str:
 
 
 # -- excluded-edge budget -------------------------------------------------
+#
+# Both routes to the bound take their case from `bound_regime`: this budget
+# its `_BUDGETS` row, `bounds.nos_bound` its formula in `_CASE_FORMULAS`.
 
 class BoundBreakdown(NamedTuple):
     """The edge budget behind the period bound for one (n, k).
@@ -241,68 +244,52 @@ class BoundBreakdown(NamedTuple):
         return self.resulting_edge_cap // 2
 
 
+def bound_regime(n: int, k: int) -> str:
+    k_tag = "odd" if k % 2 == 1 else "even"
+    if n in (2, 3, 4):
+        return f"n{n}-{k_tag}"
+    n_tag = "odd" if n % 2 == 1 else "even"
+    return f"{n_tag}-{k_tag}"
+
+
+def _both_sides(u: int, p: int, **overlaps: int) -> dict[str, int]:
+    return dict(u_out=u, u_in=u, p_out=p, p_in=p, **overlaps)
+
+
+_T = TupleClass
+_BUDGETS = {  # each `bound_regime` label's fields past N, from the class counts at m = n - 1
+    "n2-odd": lambda m, k: {},
+    "n2-even": lambda m, k: dict(p_out=2),
+    "n3-odd": lambda m, k: _both_sides(  # p = k - 1
+        0, count_class(_T.NEGASYMMETRIC, m, k) - count_class(_T.UNIFORM_NEGASYMMETRIC, m, k),
+        ix_pp=k - 1),
+    "n3-even": lambda m, k: _both_sides(0, 4, ix_pp=2),  # the four 2-tuples over {0, k/2}
+    "n4-odd": lambda m, k: dict(
+        u_out=count_class(_T.NON_UNIFORM_ALTERNATING_LEFT_SNS, m, k),
+        p_out=count_class(_T.NEGASYMMETRIC, m, k) - count_class(_T.UNIFORM_NEGASYMMETRIC, m, k)),
+    "n4-even": lambda m, k: dict(
+        u_out=count_class(_T.NON_UNIFORM_ALTERNATING_LEFT_SNS, m, k),
+        p_out=count_class(_T.UNIFORM_ALTERNATING_NEGASYMMETRIC, m, k)),
+    "odd-odd": lambda m, k: _both_sides(
+        count_class(_T.NON_UNIFORM_LEFT_SNS, m, k),
+        count_class(_T.NEGASYMMETRIC, m, k) - count_class(_T.UNIFORM_NEGASYMMETRIC, m, k),
+        ix_up=k - 1, ix_pu=k - 1, ix_uu=k - 1, ix_pp=k - 1),
+    "odd-even": lambda m, k: _both_sides(
+        count_class(_T.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS, m, k),
+        count_class(_T.UNIFORM_NEGASYMMETRIC, m, k)
+        + count_class(_T.ALTERNATING_NEGASYMMETRIC, m, k),  # k
+        ix_uu=4 * k - 4, ix_pp=k - 2),
+    "even-odd": lambda m, k: _both_sides(
+        count_class(_T.NON_UNIFORM_ALTERNATING_LEFT_SNS, m, k),
+        count_class(_T.NEGASYMMETRIC, m, k) - count_class(_T.UNIFORM_NEGASYMMETRIC, m, k),
+        ix_up=k - 1, ix_pu=k - 1, ix_uu=k * (k - 1)),
+    "even-even": lambda m, k: _both_sides(
+        count_class(_T.NON_UNIFORM_ALTERNATING_LEFT_SNS, m, k),
+        count_class(_T.UNIFORM_ALTERNATING_NEGASYMMETRIC, m, k),  # 2
+        ix_uu=k * (k - 1), ix_pp=2),
+}
+
+
 def excluded_edge_budget(n: int, k: int) -> BoundBreakdown:
-    """Fill the excluded-edge bookkeeping for the applicable (n, k) regime.
-
-    The n=2, n=3, n=4 and four n>4 parity regimes each form a dedicated
-    branch; the set sizes come from the tuple-class counting formulas at
-    length n-1 and the overlap maxima are fixed per regime.
-    """
-    check_graph_params(n, k)
-    N = edge_count_formula(n, k)
-    k_odd = k % 2 == 1
-
-    def negasym_non_uniform(length: int) -> int:
-        return (count_class(TupleClass.NEGASYMMETRIC, length, k)
-                - count_class(TupleClass.UNIFORM_NEGASYMMETRIC, length, k))
-
-    if n == 2:
-        p_out = 0 if k_odd else 2
-        return BoundBreakdown(N, p_out=p_out)
-
-    if n == 3:
-        if k_odd:
-            p = negasym_non_uniform(2)  # k - 1
-            ix_pp = k - 1
-        else:
-            # Uniform or alternating 2-tuples with entries in {0, k/2}.
-            p = 4
-            ix_pp = 2
-        return BoundBreakdown(N, p_out=p, p_in=p, ix_pp=ix_pp)
-
-    if n == 4:
-        u_out = count_class(TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS, 3, k)
-        if k_odd:
-            p_out = negasym_non_uniform(3)  # k - 1
-        else:
-            p_out = count_class(TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC, 3, k)
-        return BoundBreakdown(N, u_out=u_out, p_out=p_out)
-
-    n_odd = n % 2 == 1
-    if n_odd and k_odd:
-        u = count_class(TupleClass.NON_UNIFORM_LEFT_SNS, n - 1, k)
-        p = negasym_non_uniform(n - 1)
-        ix_up = ix_pu = k - 1
-        ix_uu = k - 1
-        ix_pp = k - 1
-    elif n_odd:
-        u = count_class(TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS, n - 1, k)
-        p = (count_class(TupleClass.UNIFORM_NEGASYMMETRIC, n - 1, k)
-             + count_class(TupleClass.ALTERNATING_NEGASYMMETRIC, n - 1, k))  # k
-        ix_up = ix_pu = 0
-        ix_uu = 4 * k - 4
-        ix_pp = k - 2
-    elif k_odd:
-        u = count_class(TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS, n - 1, k)
-        p = negasym_non_uniform(n - 1)
-        ix_up = ix_pu = k - 1
-        ix_uu = k * (k - 1)
-        ix_pp = 0
-    else:
-        u = count_class(TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS, n - 1, k)
-        p = count_class(TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC, n - 1, k)  # 2
-        ix_up = ix_pu = 0
-        ix_uu = k * (k - 1)
-        ix_pp = 2
-    return BoundBreakdown(N, u_out=u, u_in=u, p_out=p, p_in=p,
-                          ix_up=ix_up, ix_pu=ix_pu, ix_uu=ix_uu, ix_pp=ix_pp)
+    """The excluded-edge bookkeeping of the (n, k) regime: its `_BUDGETS` row."""
+    return BoundBreakdown(edge_count_formula(n, k), **_BUDGETS[bound_regime(n, k)](n - 1, k))

@@ -1,6 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from negaseq import bounds
+from negaseq import bounds, graph
 from negaseq.bounds import (
     bound_table,
     format_table,
@@ -46,23 +49,34 @@ class TestNosBound:
                 b = nos_bound(n, k)
                 assert b.breakdown.resulting_period_bound == b.value, (n, k)
 
-    @pytest.mark.parametrize("shift, message", [
-        (2, "case formula gives 12 but the excluded-edge budget gives 11 "
-            "at n=3, k=3"),
-        (1, "odd bound numerator 23 at n=3, k=3"),
-    ], ids=["routes-disagree", "odd-numerator"])
-    def test_inconsistent_numerator_raises(self, monkeypatch, shift, message):
-        formula = bounds._CASE_FORMULAS["n3-odd"]
-        monkeypatch.setitem(bounds._CASE_FORMULAS, "n3-odd",
-                            lambda n, k: formula(n, k) + shift)
+    @pytest.mark.parametrize("table, shift, message", [
+        ("formula", 2, "case formula gives 12 but the excluded-edge budget gives 11 "
+                       "at n=3, k=3"),
+        ("formula", 1, "odd bound numerator 23 at n=3, k=3"),
+        ("budget", 2, "case formula gives 11 but the excluded-edge budget gives 10 "
+                      "at n=3, k=3"),
+    ], ids=["routes-disagree", "odd-numerator", "budget-disagrees"])
+    def test_inconsistent_numerator_raises(self, monkeypatch, table, shift, message):
+        if table == "formula":
+            formula = bounds._CASE_FORMULAS["n3-odd"]
+            monkeypatch.setitem(bounds._CASE_FORMULAS, "n3-odd",
+                                lambda n, k: formula(n, k) + shift)
+        else:  # the budget's row excludes `shift` more outgoing edges
+            row = graph._BUDGETS["n3-odd"]
+            monkeypatch.setitem(graph._BUDGETS, "n3-odd", lambda m, k: {
+                **row(m, k), "p_out": row(m, k)["p_out"] + shift})
         with pytest.raises(InternalConsistencyError) as err:
             nos_bound(3, 3)
         assert str(err.value) == message
 
     def test_regime_labels_key_the_case_formulas(self):
-        # Every label `_regime` returns has a formula, and every formula a label.
-        labels = {bounds._regime(n, k) for n in range(2, 8) for k in range(3, 7)}
+        # `bound_regime`'s labels key both routes' tables and are the schema's enum.
+        labels = {graph.bound_regime(n, k) for n in range(2, 8) for k in range(3, 7)}
         assert labels == set(bounds._CASE_FORMULAS)
+        assert labels == set(graph._BUDGETS)
+        schema = json.loads((Path(__file__).resolve().parent.parent
+                             / "docs" / "schema.json").read_text())
+        assert labels == set(schema["$defs"]["bound"]["properties"]["regime"]["enum"])
 
     def test_monotone_in_k(self):
         for n in range(2, 10):

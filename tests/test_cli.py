@@ -67,6 +67,22 @@ class TestUsageErrors:
         result = run_cli(["bound", "--n", "2"])
         assert result.exit_code == 2
 
+    # A valued option given last, or a stray argument, is named as click named it.
+    @pytest.mark.parametrize("args, line", [
+        (["bound", "--n", "3", "--k"], "Option '--k' requires an argument."),
+        (["search", "--n", "2", "--k", "3", "--certificate"],
+         "Option '--certificate' requires an argument."),
+        (["verify", "--n", "2", "--k", "3", "--seed-file"],
+         "Option '--seed-file' requires an argument."),
+        (["classify", "--k", "3", "--tuple"], "Option '--tuple' requires an argument."),
+        (["table", "--n", "2..3", "--k"], "Option '--k' requires an argument."),
+        (["bound", "--n", "2", "--k", "3", "extra"], "Got unexpected extra argument (extra)"),
+    ], ids=["bound", "search", "verify", "classify", "table", "extra-argument"])
+    def test_missing_value_or_extra_argument(self, args, line):
+        result = run_cli(args)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == f"Error: {line}"
+
     @pytest.mark.parametrize("text, line", [
         ("0,1,1\n0,1,2,\n", "line 2"),  # trailing comma
         ("# header\n\n0,1,5\n", "line 3"),  # symbol out of range for k=3
