@@ -11,9 +11,6 @@ CSV shipped with the package.
 
 from __future__ import annotations
 
-import csv
-from importlib import resources
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import BudgetError, InternalConsistencyError
@@ -90,6 +87,10 @@ def load_reference_table(path: Optional[str] = None) -> dict[tuple[int, int], Re
     oversized or non-integer field, a `maximal` not 0 or 1 or a repeated (n, k)
     cell raises ValueError naming the path and line; a leading BOM is skipped.
     """
+    import csv  # imported here: of the commands, only `table` reads the file
+    from importlib import resources
+    from pathlib import Path
+
     try:
         source = (resources.files("negaseq") / "data" / "reference_bounds.csv"
                   if path is None else Path(path))

@@ -51,6 +51,14 @@ def _integer(minimum, too_small="{} is not in the range x>={}."):
     return convert
 
 
+def _decimal(text):
+    """An argparse type: a finite float in ASCII decimal, '-'?, digits, one '.'?, exponent?"""
+    if (re.fullmatch(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", text, re.ASCII)
+            and math.isfinite(value := float(text))):
+        return value
+    raise argparse.ArgumentTypeError(f"{text!r} is not a valid float.")
+
+
 class _Parser(argparse.ArgumentParser):
     """Its errors are ValueErrors in click's words.  Its types "r" and "w" open a path
     ('-': stdin or stdout) as it is read, so a bad path fails before any work runs."""
@@ -72,11 +80,17 @@ class _Parser(argparse.ArgumentParser):
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"{path!r}: {exc.strerror}") from None
 
+    def parse_args(self, args=None):  # stray arguments in click's words, an option first
+        namespace, stray = self.parse_known_args(args)
+        if options := [a.partition("=")[0] for a in stray if a.startswith("-") and a != "-"]:
+            self.error(f"No such option: {options[0]}")
+        if stray:
+            self.error(f"Got unexpected extra argument{'s' * (len(stray) > 1)} ({' '.join(stray)})")
+        return namespace
+
     def error(self, message):  # argparse's messages in click's words
         message = re.sub(r"^argument (\S+): expected.*", r"Option '\1' requires an argument.", message)
-        message = re.sub(r"^unrecognized arguments: ([^-].*)", r"Got unexpected extra argument (\1)", message)
-        raise ValueError(re.sub(r"^argument (\S+): ", r"Invalid value for '\1': ", message)
-                         .replace("unrecognized arguments", "No such option"))
+        raise ValueError(re.sub(r"^argument (\S+): ", r"Invalid value for '\1': ", message))
 
 
 def _parser(name):
@@ -361,7 +375,7 @@ def verify(n, k, seed_file, prop, fmt):
 @_command(N_OPTION, K_OPTION,
           ("--budget", dict(type=_integer(1), default=_default_budget, help=(
               "Maximum search-tree expansions (default: %(default)s)."))),
-          ("--time-budget", dict(type=float, help="Wall-clock cap in seconds (> 0).")),
+          ("--time-budget", dict(type=_decimal, help="Wall-clock cap in seconds (> 0).")),
           ("--certificate", dict(type="w", help="Write a replayable certificate here.")),
           ("--output", dict(type="w", help=(
               "Write the result record here instead of stdout."))),

@@ -3,13 +3,14 @@
 A "word" here is a fixed-length tuple of residues mod k with the alphabet
 size carried alongside.  Each structural predicate (negasymmetric, uniform,
 alternating, uniform-alternating, left/right semi-negasymmetric) is written
-once, over a symbol tuple and k: `Word`'s methods, `structural_flags`, the
-class rows and the enumeration oracle all call it.  Each `TupleClass` member
-carries its row: its smallest n, its closed-form count and the predicates
-that must hold and must fail.  The counts share two facts, each written
-once: the number e(k) of self-negating residues, and the sns count
-k * negasymmetric(n-1).  Every closed count has a brute-force enumeration
-oracle (`enumerate_class`), so each row is independently checkable.
+once, over a symbol tuple and k, and is asked only by a call on those two:
+`structural_flags`, the class rows and the enumeration oracle all call it.
+Each `TupleClass` member carries its row: its smallest n, its closed-form
+count and the predicates that must hold and must fail.  The counts share
+two facts, each written once: the number e(k) of self-negating residues,
+and the sns count k * negasymmetric(n-1).  Every closed count has a
+brute-force enumeration oracle (`enumerate_class`), so each row is
+independently checkable.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from enum import Enum
-from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
 
@@ -104,21 +105,11 @@ def right_sns(s: tuple[int, ...], k: int) -> bool:
 _FLAGS = (negasymmetric, uniform, alternating, uniform_alternating, left_sns, right_sns)
 
 
-def _method(predicate):
-    return lambda self: predicate(self.symbols, self.k)
-
-
 class Word(Symbols):
-    """An n-tuple over Z_k.  Immutable; its methods are the structural predicates."""
+    """An n-tuple over Z_k, immutable; the structural predicates take its symbols and k."""
 
     __slots__ = ()
     _noun, _k_note = "word", " (negating a symbol is the identity for k=2)"
-    is_negasymmetric = _method(negasymmetric)
-    is_uniform = _method(uniform)
-    is_alternating = _method(alternating)
-    is_uniform_alternating = _method(uniform_alternating)
-    is_left_sns = _method(left_sns)
-    is_right_sns = _method(right_sns)
 
 
 def check_graph_params(n: int, k: int) -> None:
@@ -267,12 +258,6 @@ def _row(cls: TupleClass) -> tuple:
     return cls.row
 
 
-def class_predicate(cls: TupleClass, w: Word) -> bool:
-    """True iff w is in cls: the class's row, evaluated in order."""
-    *_, holds, fails = _row(cls)
-    return all(p(w.symbols, w.k) for p in holds) and not any(p(w.symbols, w.k) for p in fails)
-
-
 def count_grows(cls: TupleClass) -> bool:
     """Whether the class's count grows with n, as about k^(n/2), or is at most k^2."""
     return _row(cls)[1]
@@ -293,7 +278,7 @@ def count_class(cls: TupleClass, n: int, k: int) -> int:
     return cls.row[2](n, k, _self_negating(k))
 
 
-def printable_power(k: int, n: int) -> Optional[int]:
+def printable_power(k: int, n: int) -> int | None:
     """k^n, or, without working it out, None if it has more digits than the
     interpreter prints (4300, its default, when the limit is off)."""
     limit = getattr(sys, "get_int_max_str_digits", int)() or 4300

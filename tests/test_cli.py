@@ -77,7 +77,12 @@ class TestUsageErrors:
         (["classify", "--k", "3", "--tuple"], "Option '--tuple' requires an argument."),
         (["table", "--n", "2..3", "--k"], "Option '--k' requires an argument."),
         (["bound", "--n", "2", "--k", "3", "extra"], "Got unexpected extra argument (extra)"),
-    ], ids=["bound", "search", "verify", "classify", "table", "extra-argument"])
+        (["bound", "--n", "2", "--k", "3", "extra", "--foo"], "No such option: --foo"),
+        (["bound", "--n", "2", "--k", "3", "--foo", "--bar"], "No such option: --foo"),
+        (["bound", "--n", "2", "--k", "3", "a", "b"], "Got unexpected extra arguments (a b)"),
+        (["bound", "--n", "2", "--k", "3", "a", "--foo=1"], "No such option: --foo"),
+    ], ids=["bound", "search", "verify", "classify", "table", "extra-argument",
+            "extra-then-option", "two-options", "two-arguments", "option-with-value"])
     def test_missing_value_or_extra_argument(self, args, line):
         result = run_cli(args)
         assert result.exit_code == 2
@@ -127,14 +132,25 @@ class TestUsageErrors:
         assert result.exit_code == 2
         assert message in result.output
 
+    # A time budget is ASCII decimal: no '1_0', no 'inf' or 'nan', nothing
+    # that overflows, no Arabic-Indic digit, as click's FLOAT words it.
     @pytest.mark.parametrize("option, value", [
         ("--budget", "0"), ("--time-budget", "0"), ("--time-budget", "-1"),
-        ("--time-budget", "nan"),
+        ("--time-budget", "nan"), ("--time-budget", "1_0"), ("--time-budget", "inf"),
+        ("--time-budget", "1e999"), ("--time-budget", "-1e999"),
+        ("--time-budget", "\u0661"), ("--time-budget", " 1"), ("--time-budget", "1.5.2"),
     ])
     def test_search_budget_must_be_positive(self, option, value):
         result = run_cli(["search", "--n", "3", "--k", "3", option, value])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
+        if option == "--budget":
+            line = "Invalid value for '--budget': 0 is not in the range x>=1."
+        elif value in ("0", "-1"):
+            line = "time budget must be positive"
+        else:
+            line = f"Invalid value for '--time-budget': {value!r} is not a valid float."
+        assert result.stderr.splitlines()[-1] == f"Error: {line}"
 
 
 class TestExitContract:
@@ -320,19 +336,26 @@ def test_cold_command_loads_only_its_modules(args, modules, tmp_path):
     code = ("import sys\nfrom negaseq.cli import main\n"
             "try:\n    main(sys.argv[1:], standalone_mode=False)\n"
             "finally:\n    print(*sorted(sys.modules), file=sys.stderr)\n")
-    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                            cwd=tmp_path, input="0,1,1\n",
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
-    loaded = set(result.stderr.split())
-    assert {m for m in loaded if m.startswith("negaseq")} == (
-        {"negaseq", "negaseq.cli", "negaseq.errors"}
-        | {f"negaseq.{m}" for m in modules})
-    assert "click" not in loaded
-    assert "numpy" not in loaded
-    assert "dataclasses" not in loaded
-    assert "_hashlib" not in loaded
+    for flags in ([], ["-S"]):  # -S: without `site`, which may import more itself
+        result = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
+                                cwd=tmp_path, input="0,1,1\n",
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+        loaded = set(result.stderr.split())
+        assert {m for m in loaded if m.startswith("negaseq")} == (
+            {"negaseq", "negaseq.cli", "negaseq.errors"}
+            | {f"negaseq.{m}" for m in modules})
+        assert "click" not in loaded
+        assert "numpy" not in loaded
+        assert "dataclasses" not in loaded
+        assert "_hashlib" not in loaded
+    # Run by a plain interpreter, `tuples` needs no typing, and only `table`
+    # reads the reference CSV.
+    if modules == {"tuples"}:
+        assert "typing" not in loaded
+    assert ("csv" in loaded) == (args[0] == "table")
+    assert args[0] == "table" or not loaded & {"pathlib", "importlib.resources"}
     if "--certificate" in args:  # the (3, 3) graph hash pinned in tests/test_search.py
         assert ("graph_edges_sha256=20368f81d1a6ee4d84708b6b12ae0cdd"
                 "09bf0f21d3f0af5e937117db72a6ec93\n") in (
@@ -631,12 +654,7 @@ class TestBoundAndTable:
         assert "!" not in result.output
 
     def test_missing_packaged_csv_is_named(self, tmp_path, monkeypatch):
-        from types import SimpleNamespace
-
-        from negaseq import bounds
-
-        monkeypatch.setattr(bounds, "resources",
-                            SimpleNamespace(files=lambda package: tmp_path))
+        monkeypatch.setattr("importlib.resources.files", lambda package: tmp_path)
         result = run_cli(["table", "--n", "2..3", "--k", "3..4"])
         assert result.exit_code == 2
         assert result.output.endswith(

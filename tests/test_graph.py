@@ -17,7 +17,8 @@ from negaseq.graph import (
     sequence_subgraph,
     vertex_profile,
 )
-from negaseq.tuples import Word, decode, encode, nega_reverse_symbols, window_codes
+from negaseq.tuples import (Word, decode, encode, left_sns, nega_reverse_symbols, negasymmetric,
+                            right_sns, window_codes)
 from negaseq.verify import PeriodicSequence
 
 SMALL = [(n, k) for n in (2, 3, 4, 5) for k in (3, 4, 5, 6)]
@@ -104,7 +105,7 @@ class TestStructure:
         for n in (4, 5, 6):
             for k in (3, 4, 5):
                 got = {v.symbols for v in vertex_words(n, k)
-                       if v.is_left_sns() and v.is_right_sns()}
+                       if left_sns(v.symbols, k) and right_sns(v.symbols, k)}
                 m = n - 1
                 if m % 2 == 0 and k % 2 == 1:
                     expect = {tuple([0] * m)}
@@ -124,8 +125,7 @@ class TestStructure:
                 hits = 0
                 for e in g.edges():
                     t = decode(e, n, k)
-                    if (Word(t[:-1], k).is_left_sns()
-                            and Word(t[1:], k).is_right_sns()):
+                    if left_sns(t[:-1], k) and right_sns(t[1:], k):
                         hits += 1
                         assert all(t[i] == t[i + 4] for i in range(n - 4)), t
                 assert hits > 0, (n, k)
@@ -134,8 +134,7 @@ class TestStructure:
         for n, k in [(2, 3), (3, 3), (3, 4), (4, 3)]:
             g = ReducedGraph(n, k)
             for e in g.edges():
-                t = Word(decode(e, n, k), k)
-                assert not t.is_negasymmetric()
+                assert not negasymmetric(decode(e, n, k), k)
 
     def test_edge_endpoints(self):
         # an edge runs from its code // k (the prefix) to its code mod

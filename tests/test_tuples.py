@@ -10,22 +10,23 @@ from negaseq.errors import BudgetError
 from negaseq.tuples import (
     TupleClass,
     Word,
-    class_predicate,
+    alternating,
     count_class,
     decode,
     encode,
     enumerate_class,
+    left_sns,
     nega_reverse_symbols,
+    negasymmetric,
     negasymmetric_codes,
     count_grows,
     parse_symbols,
     printable_power,
+    right_sns,
     structural_flags,
+    uniform,
+    uniform_alternating,
 )
-
-
-def w(symbols, k):
-    return Word(tuple(symbols), k)
 
 
 class TestSymmetryMaps:
@@ -52,7 +53,7 @@ class TestInvolutions:
     @given(words)
     def test_negasymmetric_iff_nega_reverse_fixed_point(self, wk):
         symbols, k = wk
-        assert w(symbols, k).is_negasymmetric() == \
+        assert negasymmetric(tuple(symbols), k) == \
             (tuple(symbols) == tuple(-s % k for s in reversed(symbols)))
 
     @given(words)
@@ -93,47 +94,48 @@ class TestInvolutions:
 
 class TestPredicates:
     def test_negasymmetric(self):
-        assert w([1, 0, 2], 3).is_negasymmetric()
-        assert not w([0, 1], 3).is_negasymmetric()
-        assert w([2, 2], 4).is_negasymmetric()
+        assert negasymmetric((1, 0, 2), 3)
+        assert not negasymmetric((0, 1), 3)
+        assert negasymmetric((2, 2), 4)
 
     def test_uniform(self):
-        assert w([3, 3, 3], 5).is_uniform()
-        assert not w([0, 1, 0], 3).is_uniform()
-        assert w([0], 3).is_uniform()
+        assert uniform((3, 3, 3), 5)
+        assert not uniform((0, 1, 0), 3)
+        assert uniform((0,), 3)
 
     def test_alternating(self):
-        assert w([0, 2, 0, 2], 3).is_alternating()
-        assert not w([1, 1, 1], 3).is_alternating()
-        assert w([0, 2, 0], 4).is_alternating()
+        assert alternating((0, 2, 0, 2), 3)
+        assert not alternating((1, 1, 1), 3)
+        assert alternating((0, 2, 0), 4)
 
     def test_uniform_alternating(self):
-        assert w([1, 2, 1], 3).is_uniform_alternating()
-        assert w([0, 0, 0], 3).is_uniform_alternating()
-        assert not w([1, 2, 1], 4).is_uniform_alternating()
+        assert uniform_alternating((1, 2, 1), 3)
+        assert uniform_alternating((0, 0, 0), 3)
+        assert not uniform_alternating((1, 2, 1), 4)
 
     def test_sns(self):
-        assert w([1, 0, 2, 1], 3).is_left_sns()
-        assert not w([1, 0, 2, 1], 3).is_right_sns()
-        assert w([0, 0], 3).is_left_sns()
-        assert w([0, 0], 3).is_right_sns()
+        assert left_sns((1, 0, 2, 1), 3)
+        assert not right_sns((1, 0, 2, 1), 3)
+        assert left_sns((0, 0), 3)
+        assert right_sns((0, 0), 3)
 
     def test_alternating_is_false_at_length_1(self):
-        assert w([1], 3).is_alternating() is False
-        assert w([1], 3).is_uniform_alternating() is False
+        assert alternating((1,), 3) is False
+        assert uniform_alternating((1,), 3) is False
 
     def test_alternating_implies_non_uniform(self):
         for k in (3, 4, 5):
             for t in enumerate_class(TupleClass.ALTERNATING, 4, k):
-                assert not t.is_uniform()
+                assert not uniform(t.symbols, t.k)
 
     def test_sns_and_negasymmetric_implies_uniform(self):
         # Exhaustive check of the combination that forces uniformity.
         for k in (3, 4, 5):
             for n in range(2, 7):
                 for t in enumerate_class(TupleClass.NEGASYMMETRIC, n, k):
-                    if t.is_left_sns() or t.is_right_sns():
-                        assert t.is_uniform(), t
+                    s = t.symbols
+                    if left_sns(s, k) or right_sns(s, k):
+                        assert uniform(s, k), t
 
 
 class TestCounts:
@@ -253,59 +255,40 @@ def test_parse_symbols_refuses_all_but_ascii_digits(text, bad):
 
 def oracle_predicate(cls, t):
     """The per-class branch chain that preceded the class table."""
+    s, k = t.symbols, t.k
     if cls is TupleClass.NEGASYMMETRIC:
-        return t.is_negasymmetric()
+        return negasymmetric(s, k)
     if cls is TupleClass.UNIFORM:
-        return t.is_uniform()
+        return uniform(s, k)
     if cls is TupleClass.ALTERNATING:
-        return t.is_alternating()
+        return alternating(s, k)
     if cls is TupleClass.UNIFORM_ALTERNATING:
-        return t.is_uniform_alternating()
+        return uniform_alternating(s, k)
     if cls is TupleClass.UNIFORM_AND_UNIFORM_ALTERNATING:
-        return t.is_uniform() and t.is_uniform_alternating()
+        return uniform(s, k) and uniform_alternating(s, k)
     if cls is TupleClass.UNIFORM_NEGASYMMETRIC:
-        return t.is_uniform() and t.is_negasymmetric()
+        return uniform(s, k) and negasymmetric(s, k)
     if cls is TupleClass.UNIFORM_ALTERNATING_NEGASYMMETRIC:
-        return t.is_uniform_alternating() and t.is_negasymmetric()
+        return uniform_alternating(s, k) and negasymmetric(s, k)
     if cls is TupleClass.ALTERNATING_NEGASYMMETRIC:
-        return t.is_alternating() and t.is_negasymmetric()
+        return alternating(s, k) and negasymmetric(s, k)
     if cls is TupleClass.LEFT_SNS:
-        return t.is_left_sns()
+        return left_sns(s, k)
     if cls is TupleClass.RIGHT_SNS:
-        return t.is_right_sns()
+        return right_sns(s, k)
     if cls is TupleClass.NON_UNIFORM_LEFT_SNS:
-        return t.is_left_sns() and not t.is_uniform()
+        return left_sns(s, k) and not uniform(s, k)
     if cls is TupleClass.NON_UNIFORM_RIGHT_SNS:
-        return t.is_right_sns() and not t.is_uniform()
+        return right_sns(s, k) and not uniform(s, k)
     if cls is TupleClass.NON_UNIFORM_ALTERNATING_LEFT_SNS:
-        return t.is_left_sns() and not t.is_uniform_alternating()
+        return left_sns(s, k) and not uniform_alternating(s, k)
     if cls is TupleClass.NON_UNIFORM_ALTERNATING_RIGHT_SNS:
-        return t.is_right_sns() and not t.is_uniform_alternating()
+        return right_sns(s, k) and not uniform_alternating(s, k)
     if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_LEFT_SNS:
-        return t.is_left_sns() and not t.is_uniform() and not t.is_alternating()
+        return left_sns(s, k) and not uniform(s, k) and not alternating(s, k)
     if cls is TupleClass.NON_UNIFORM_NON_ALTERNATING_RIGHT_SNS:
-        return t.is_right_sns() and not t.is_uniform() and not t.is_alternating()
+        return right_sns(s, k) and not uniform(s, k) and not alternating(s, k)
     raise ValueError(f"unknown class {cls}")
-
-
-def outcome(predicate, cls, t):
-    """The predicate's value, or the type of the exception it raises."""
-    try:
-        return predicate(cls, t)
-    except Exception as exc:
-        return type(exc)
-
-
-def test_class_predicate_covers_all_classes():
-    # Every class on every word with n = 1..5, k = 3..6; the outcome is the
-    # predicate's value, or the type of the exception if it raises.
-    for n in range(1, 6):
-        for k in range(3, 7):
-            for symbols in itertools.product(range(k), repeat=n):
-                t = Word(symbols, k)
-                for cls in TupleClass:
-                    assert outcome(class_predicate, cls, t) == \
-                        outcome(oracle_predicate, cls, t), (cls, t)
 
 
 def definitions(s, k):
@@ -322,18 +305,20 @@ def definitions(s, k):
 
 
 def test_predicates_match_their_definitions():
-    # Every word with n = 1..5, k = 3..6, through the flags and the methods.
+    # Every word with n = 1..5, k = 3..6, through the flags and the predicates.
     for n in range(1, 6):
         for k in range(3, 7):
             for s in itertools.product(range(k), repeat=n):
                 t, flags = Word(s, k), definitions(s, k)
                 assert structural_flags(t) == flags, t
-                assert {name: getattr(t, f"is_{name}")() for name in flags} == flags, t
+                assert {name: getattr(tuples_mod, name)(t.symbols, t.k)
+                        for name in flags} == flags, t
 
 
 def test_enumeration_matches_the_word_methods():
-    # The raw-tuple route against `Word`'s methods through the branch chain:
-    # every class, n from its minimum to 5 and k = 3..6, order included.
+    # The class rows against the six predicates through the branch chain that
+    # preceded them: every class, n from its minimum to 5 and k = 3..6, order
+    # included.
     for cls in TupleClass:
         for n in range(TestCounts.MIN_N[cls], 6):
             for k in range(3, 7):
@@ -344,8 +329,6 @@ def test_enumeration_matches_the_word_methods():
 
 @pytest.mark.parametrize("cls", ["uniform", None, 3])
 def test_class_predicate_rejects_non_class(cls):
-    with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
-        class_predicate(cls, w([0, 1], 3))
     with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
         count_class(cls, 3, 3)
     with pytest.raises(ValueError, match=f"^unknown class {cls}$"):
